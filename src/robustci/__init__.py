@@ -20,7 +20,6 @@ from .graph import (
     RobustnessStructure,
     build_graph,
     check_product_form,
-    coarsen_structure,
     components_of,
     enumerate_maximal_structures,
     grow_to_maximal,
@@ -81,7 +80,6 @@ from .decomp import (
     MatrixPoint,
     component_ideal,
     containment,
-    is_admissible_Y,
     point_in_VG,
     point_in_VGY,
     verify_primary_decomposition,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .graph import InputGraph, RobustnessStructure, components_of
+from .graph import InputGraph, RobustnessStructure, _require_consistent, components_of
 from .model import (
     Config,
     JointDistribution,
@@ -170,7 +170,7 @@ def membership_in_PB(dist: JointDistribution, structure: RobustnessStructure, gr
     Two conditions: support exactly equal to the structure's support, and
     pairwise proportional columns within every block.
     """
-    _structure_matches_graph(structure, graph)
+    _require_consistent(structure, graph)
     if frozenset(dist.support()) != structure.support:
         return False
     for block in structure.blocks:
@@ -180,11 +180,6 @@ def membership_in_PB(dist: JointDistribution, structure: RobustnessStructure, gr
                 if not vectors_proportional(cols[a], cols[b]):
                     return False
     return True
-
-
-def _structure_matches_graph(structure: RobustnessStructure, graph: InputGraph):
-    if components_of(graph, structure.support) != structure:
-        raise InputError("structure blocks are not the components of the induced subgraph")
 
 
 @dataclass(frozen=True)

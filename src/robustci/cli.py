@@ -34,21 +34,6 @@ EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
 
 
-def _worker_cap() -> int:
-    """Upper bound on worker count from ROBUSTCI_THREADS (>= 1); the current
-    implementation runs sequentially, which respects any cap."""
-    raw = os.environ.get("ROBUSTCI_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise InputError(f"ROBUSTCI_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise InputError(f"ROBUSTCI_THREADS must be >= 1, got {cap}")
-    return cap
-
-
 def _emit(payload, args) -> None:
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -197,6 +182,8 @@ def cmd_groebner(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    if args.trials < 0:
+        raise InputError(f"--trials must be >= 0, got {args.trials}")
     space, spec = _load_model(args.model)
     g = graphmod.build_graph(spec, space)
     d0 = args.d0 if args.d0 is not None else space.d0
@@ -229,7 +216,7 @@ def cmd_gibbs(args) -> int:
         raise InputError("positivity required: kernels must be strictly positive")
     pots = gibbs.moebius_potentials(mods)
     sup_error = 0.0
-    for nodes in gibbs.all_subsets(space.n):
+    for nodes in model.node_subsets(space.n):
         rebuilt = gibbs.gibbs_kernel(pots, nodes)
         for xa, row in rebuilt.items():
             original = mods.row(nodes, xa)
@@ -285,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("structures", help="enumerate robustness structures")
     p.add_argument("--model", required=True)
-    p.add_argument("--maximal-only", action="store_true",
-                   help="only maximal structures (the default behaviour)")
     p.add_argument("--all", action="store_true",
                    help="every support subset, not only maximal ones (tiny spaces)")
     p.add_argument("--classify-complements", action="store_true",
@@ -335,7 +320,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _worker_cap()
         if args.command == "groebner" and not (args.model or args.graph):
             raise InputError("groebner needs --model or --graph")
         return args.func(args)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, ResourceLimitError
-from .graph import InputGraph
+from .graph import InputGraph, components_of, enumerate_maximal_structures
 from .ideal import EdgeBinomial, Unknown, edge_generators
 from .model import format_fraction, vectors_proportional
 from .polyengine import Polynomial, buchberger, intersect_ideals, reduce
@@ -58,36 +58,13 @@ def component_ideal(graph: InputGraph, support, d0: int) -> ComponentIdeal:
     return ComponentIdeal(support, tuple(monomials), tuple(binomials))
 
 
-def is_admissible_Y(graph: InputGraph, support) -> bool:
-    """Whether adding any outside vertex strictly lowers the component count.
-
-    Identical predicate to maximality of the robustness structure on the
-    support; both implementations are kept and cross-checked in the tests.
-    """
-    support = frozenset(tuple(x) for x in support)
-    base = len(graph.components(support))
-    for x in graph.vertices:
-        if x in support:
-            continue
-        if len(graph.components(support | {x})) >= base:
-            return False
-    return True
-
-
 def admissible_sets(graph: InputGraph, cap: int = 20) -> list:
-    """All admissible support sets, canonically ordered by sorted vertex list."""
-    m = len(graph.vertices)
-    if m > cap:
-        raise ResourceLimitError(f"{m} vertices exceed the enumeration cap of {cap}")
-    out = []
-    for mask in range(1 << m):
-        support = frozenset(
-            graph.vertices[i] for i in range(m) if mask >> i & 1
-        )
-        if is_admissible_Y(graph, support):
-            out.append(support)
-    out.sort(key=lambda s: sorted(s))
-    return out
+    """All admissible support sets, canonically ordered by sorted vertex list.
+
+    Admissibility is maximality of the structure on the support, so these are
+    the supports of the maximal structures.
+    """
+    return sorted((s.support for s in enumerate_maximal_structures(graph, cap)), key=sorted)
 
 
 def containment(graph: InputGraph, outer, inner) -> bool:
@@ -100,8 +77,8 @@ def containment(graph: InputGraph, outer, inner) -> bool:
     inner = frozenset(tuple(x) for x in inner)
     if not inner <= outer:
         return False
-    comp_outer = _component_index(graph, outer)
-    comp_inner = _component_index(graph, inner)
+    comp_outer = components_of(graph, outer).block_index()
+    comp_inner = components_of(graph, inner).block_index()
     inner_sorted = sorted(inner)
     for a in range(len(inner_sorted)):
         for b in range(a + 1, len(inner_sorted)):
@@ -109,14 +86,6 @@ def containment(graph: InputGraph, outer, inner) -> bool:
             if comp_outer[u] == comp_outer[v] and comp_inner[u] != comp_inner[v]:
                 return False
     return True
-
-
-def _component_index(graph: InputGraph, support) -> dict:
-    index = {}
-    for k, comp in enumerate(graph.components(support)):
-        for x in comp:
-            index[x] = k
-    return index
 
 
 @dataclass(frozen=True)

@@ -22,18 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .model import Config, StateSpace, restrict
+from .model import Config, StateSpace, node_subsets, restrict
 
 ROW_TOL = 1e-12
 ROBUST_TOL = 1e-9
-
-
-def all_subsets(n: int) -> list:
-    """All subsets of {1..n} as sorted tuples, smallest first."""
-    out = []
-    for size in range(n + 1):
-        out.extend(itertools.combinations(range(1, n + 1), size))
-    return out
 
 
 def _sub_restrict(nodes_from, x_from, nodes_to) -> tuple:
@@ -55,7 +47,7 @@ class FunctionalModalities:
 
     def __post_init__(self):
         n = self.space.n
-        expected = set(all_subsets(n))
+        expected = set(node_subsets(n))
         if set(self.kernels) != expected:
             raise InputError("kernels must cover every subset of the input nodes")
         for nodes in sorted(self.kernels):
@@ -111,7 +103,7 @@ def uniform_modalities(space: StateSpace) -> FunctionalModalities:
     row = tuple(1.0 / space.d0 for _ in range(space.d0))
     kernels = {
         nodes: {xa: row for xa in space.partial_configs(nodes)}
-        for nodes in all_subsets(space.n)
+        for nodes in node_subsets(space.n)
     }
     return FunctionalModalities(space, kernels)
 
@@ -131,7 +123,7 @@ def neuron_modalities(weights) -> FunctionalModalities:
         return 0.5 * (1.0 + math.tanh(0.5 * s))
 
     kernels = {}
-    for nodes in all_subsets(space.n):
+    for nodes in node_subsets(space.n):
         rows = {}
         for xa in space.partial_configs(nodes):
             s = sum(weights[i - 1] * (1.0 if v == 2 else -1.0) for i, v in zip(nodes, xa))
@@ -155,7 +147,7 @@ def moebius_potentials(mods: FunctionalModalities) -> GibbsPotentials:
         for nodes, rows in mods.kernels.items()
     }
     phi = {}
-    for nodes in all_subsets(space.n):
+    for nodes in node_subsets(space.n):
         rows = {}
         for xa in space.partial_configs(nodes):
             acc = [0.0] * space.d0
@@ -195,7 +187,7 @@ def gibbs_kernel(pots: GibbsPotentials, nodes) -> dict:
 
 
 def modalities_from_potentials(pots: GibbsPotentials) -> FunctionalModalities:
-    kernels = {nodes: gibbs_kernel(pots, nodes) for nodes in all_subsets(pots.space.n)}
+    kernels = {nodes: gibbs_kernel(pots, nodes) for nodes in node_subsets(pots.space.n)}
     return FunctionalModalities(pots.space, kernels)
 
 
@@ -219,7 +211,7 @@ def potential_robustness_criterion(pots: GibbsPotentials, x: Config, knocked_out
     space = pots.space
     knocked_out = set(knocked_out)
     acc = [0.0] * space.d0
-    for nodes in all_subsets(space.n):
+    for nodes in node_subsets(space.n):
         if not knocked_out.intersection(nodes):
             continue
         vals = pots.value(nodes, restrict(x, nodes))
@@ -278,7 +270,7 @@ def k_interaction_decompose(mods: FunctionalModalities, k: int) -> KInteractionD
         for nodes, rows in mods.kernels.items()
     }
     psi = {}
-    for large in all_subsets(space.n):
+    for large in node_subsets(space.n):
         for size in range(min(k, len(large)) + 1):
             for small in itertools.combinations(large, size):
                 coeff = float(alpha_coefficient(len(large), len(small), k))

@@ -43,6 +43,8 @@ class InputGraph:
             self.edge_witness[key] = witnesses.get(key)
         self._adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
         self._index = {v: i for i, v in enumerate(self.vertices)}
+        # adjacency as bitmasks over the canonical vertex order
+        self._masks = [self._mask_of(self._adj[v]) for v in self.vertices]
 
     def neighbors(self, v: Config) -> tuple:
         return self._adj[v]
@@ -56,41 +58,32 @@ class InputGraph:
     def num_edges(self) -> int:
         return len(self.edge_witness)
 
+    def _mask_of(self, subset) -> int:
+        """Bitmask of the vertices in ``subset``; other configurations are ignored."""
+        mask = 0
+        for x in subset:
+            i = self._index.get(x)
+            if i is not None:
+                mask |= 1 << i
+        return mask
+
+    def _vertices_of(self, mask: int) -> list:
+        """The vertices of a bitmask, in canonical order."""
+        out = []
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            out.append(self.vertices[bit.bit_length() - 1])
+        return out
+
     def components(self, subset=None) -> list:
         """Connected components of the subgraph induced by ``subset``.
 
         Components are returned as sorted lists, ordered by their minimal
         element; ``subset=None`` means the whole vertex set.
         """
-        allowed = set(self.vertices) if subset is None else set(subset)
-        out = []
-        seen = set()
-        for v in self.vertices:
-            if v not in allowed or v in seen:
-                continue
-            comp = {v}
-            frontier = [v]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for w in self._adj[u]:
-                        if w in allowed and w not in comp:
-                            comp.add(w)
-                            nxt.append(w)
-                frontier = nxt
-            seen |= comp
-            out.append(sorted(comp))
-        return out
-
-    def neighbor_masks(self) -> list:
-        """Adjacency as bitmasks over the canonical vertex order."""
-        masks = []
-        for v in self.vertices:
-            m = 0
-            for w in self._adj[v]:
-                m |= 1 << self._index[w]
-            masks.append(m)
-        return masks
+        mask = (1 << len(self.vertices)) - 1 if subset is None else self._mask_of(subset)
+        return [self._vertices_of(c) for c in _mask_components(mask, self._masks)]
 
 
 def build_graph(spec: RobustnessSpec, space: StateSpace) -> InputGraph:
@@ -153,8 +146,12 @@ class RobustnessStructure:
 
 def components_of(graph: InputGraph, support) -> RobustnessStructure:
     """The robustness structure whose blocks are the components induced by ``support``."""
-    comps = graph.components(support)
-    return RobustnessStructure(graph.space, tuple(tuple(c) for c in comps))
+    return _structure(graph, _mask_components(graph._mask_of(support), graph._masks))
+
+
+def _structure(graph: InputGraph, comps) -> RobustnessStructure:
+    """The structure whose blocks are the given component masks."""
+    return RobustnessStructure(graph.space, tuple(tuple(graph._vertices_of(c)) for c in comps))
 
 
 def _require_consistent(structure: RobustnessStructure, graph: InputGraph):
@@ -220,6 +217,28 @@ def _mask_components(mask: int, nbr_masks) -> list:
     return comps
 
 
+def _non_merging_vertex(mask: int, comps, nbr_masks) -> int:
+    """The lowest vertex outside ``mask`` adjacent to fewer than two of its
+    components ``comps``, as a bitmask; 0 when there is none.
+
+    Adding vertex v to ``mask`` gives len(comps) + 1 - (#components v touches)
+    components, so the structure on ``mask`` is maximal iff this returns 0.
+    """
+    outside = ((1 << len(nbr_masks)) - 1) & ~mask
+    while outside:
+        bit = outside & -outside
+        outside ^= bit
+        nb = nbr_masks[bit.bit_length() - 1] & mask
+        for c in comps:
+            if nb & c:
+                if nb & ~c:
+                    break  # the vertex also touches a second component
+                return bit
+        else:
+            return bit
+    return 0
+
+
 def enumerate_maximal_structures(graph: InputGraph, cap: int = 20) -> list:
     """All maximal robustness structures, by exhaustive subset enumeration.
 
@@ -232,41 +251,13 @@ def enumerate_maximal_structures(graph: InputGraph, cap: int = 20) -> list:
         raise ResourceLimitError(
             f"{m} vertices exceed the enumeration cap of {cap} (2^{m} subsets)"
         )
-    nbr = graph.neighbor_masks()
     found = []
-    for mask in range(1 << m):
-        comps = _mask_components(mask, nbr)
-        base = len(comps)
-        maximal = True
-        outside = ((1 << m) - 1) & ~mask
-        o = outside
-        while o:
-            bit = o & -o
-            o ^= bit
-            nb = nbr[bit.bit_length() - 1] & mask
-            # components of mask|bit = base + 1 - (#blocks adjacent to the new vertex)
-            touched = sum(1 for c in comps if c & nb)
-            if base + 1 - touched >= base:
-                maximal = False
-                break
-        if maximal and mask:
-            blocks = tuple(
-                tuple(graph.vertices[i] for i in range(m) if c >> i & 1)
-                for c in comps
-            )
-            found.append(RobustnessStructure.from_blocks(graph.space, blocks))
+    for mask in range(1, 1 << m):
+        comps = _mask_components(mask, graph._masks)
+        if not _non_merging_vertex(mask, comps, graph._masks):
+            found.append(_structure(graph, comps))
     found.sort(key=lambda s: s.blocks)
     return found
-
-
-def coarsen_structure(structure: RobustnessStructure, finer_graph: InputGraph) -> RobustnessStructure:
-    """Recompute the blocks of the structure's support inside another graph.
-
-    Every block of the input lands inside exactly one block of the output
-    whenever the new graph has at least the edges that connected the input
-    blocks.
-    """
-    return components_of(finer_graph, structure.support)
 
 
 def check_product_form(structure: RobustnessStructure, space: StateSpace) -> bool:
@@ -301,21 +292,13 @@ def grow_to_maximal(graph: InputGraph, start) -> RobustnessStructure:
     not strictly lower the component count; the loop ends exactly when the
     maximality condition holds.
     """
-    support = set(start)
+    mask = graph._mask_of(start)
     while True:
-        structure = components_of(graph, support)
-        index = structure.block_index()
-        grown = False
-        for x in graph.vertices:
-            if x in support:
-                continue
-            touched = {index[w] for w in graph.neighbors(x) if w in support}
-            if len(touched) < 2:
-                support.add(x)
-                grown = True
-                break
-        if not grown:
-            return structure
+        comps = _mask_components(mask, graph._masks)
+        bit = _non_merging_vertex(mask, comps, graph._masks)
+        if not bit:
+            return _structure(graph, comps)
+        mask |= bit
 
 
 _CUBE_CATEGORIES = ("empty", "plane-split", "parity-class", "vertex-cut")

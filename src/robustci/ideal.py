@@ -72,17 +72,16 @@ def edge_generators(graph: InputGraph, d0: int) -> list:
     return out
 
 
-def _is_shortcut_free(graph: InputGraph, path) -> bool:
-    """Condition on interior minimality: no ordered proper interior subsequence
-    yields a path between the endpoints."""
-    interior = path[1:-1]
-    x, y = path[0], path[-1]
-    for size in range(len(interior)):
-        for keep in itertools.combinations(range(len(interior)), size):
-            seq = (x, *(interior[k] for k in keep), y)
-            if all(graph.has_edge(seq[a], seq[a + 1]) for a in range(len(seq) - 1)):
-                return False
-    return True
+def _shortcut(graph: InputGraph, path):
+    """Positions of the shortest ordered proper interior subsequence of ``path``
+    that, with the endpoints, is itself a path; None if there is none."""
+    last = len(path) - 1
+    for size in range(last - 1):
+        for keep in itertools.combinations(range(1, last), size):
+            seq = (0, *keep, last)
+            if all(graph.has_edge(path[seq[a]], path[seq[a + 1]]) for a in range(len(seq) - 1)):
+                return seq
+    return None
 
 
 def enumerate_admissible_paths(graph: InputGraph, x, y) -> list:
@@ -104,7 +103,7 @@ def enumerate_admissible_paths(graph: InputGraph, x, y) -> list:
                 walk(w, path + (w,), seen | {w})
 
     walk(x, (x,), {x})
-    admissible = [p for p in found if _is_shortcut_free(graph, p)]
+    admissible = [p for p in found if _shortcut(graph, p) is None]
     admissible.sort(key=lambda p: (len(p), p))
     return admissible
 
@@ -266,22 +265,7 @@ def find_reduction_witness(graph: InputGraph, path, labels):
         wlabels.reverse()
 
     # shrink through interior shortcuts until no proper subsequence is a path
-    while True:
-        interior = list(range(1, len(window) - 1))
-        shortcut = None
-        for size in range(len(interior)):
-            for keep in itertools.combinations(interior, size):
-                seq = [0, *keep, len(window) - 1]
-                if all(
-                    graph.has_edge(window[seq[a]], window[seq[a + 1]])
-                    for a in range(len(seq) - 1)
-                ):
-                    shortcut = seq
-                    break
-            if shortcut:
-                break
-        if shortcut is None or len(shortcut) == len(window):
-            break
+    while (shortcut := _shortcut(graph, window)) is not None:
         window = [window[k] for k in shortcut]
         wlabels = [wlabels[k] for k in shortcut]
 

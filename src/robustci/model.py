@@ -128,6 +128,10 @@ class RobustnessSpec:
 
 def validate_spec(spec: RobustnessSpec, space: StateSpace) -> None:
     """Raise InputError unless every pair of the specification fits the space."""
+    malformed = [p for p in spec.pairs if not all(isinstance(v, int) for v in p[0] + p[1])]
+    if malformed:
+        nodes, y = min(malformed, key=repr)
+        raise InputError(f"spec pair R={list(nodes)}, y={list(y)} must hold integers")
     for nodes, y in spec.sorted_pairs():
         if nodes and (nodes[0] < 1 or nodes[-1] > space.n):
             raise InputError(f"subset {nodes} not within 1..{space.n}")
@@ -261,8 +265,14 @@ def model_from_json(obj) -> tuple:
     spec_obj = obj.get("spec")
     if spec_obj is None:
         raise InputError("model file is missing the 'spec' field")
+    if not isinstance(spec_obj, dict):
+        raise InputError("the 'spec' field must be a JSON object")
     if "uniform_k" in spec_obj:
-        spec = make_uniform_spec(int(spec_obj["uniform_k"]), space)
+        try:
+            k = int(spec_obj["uniform_k"])
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad uniform_k: {exc}") from exc
+        spec = make_uniform_spec(k, space)
     elif "pairs" in spec_obj:
         try:
             spec = RobustnessSpec.of(
@@ -287,7 +297,7 @@ def distribution_to_json(dist: JointDistribution) -> dict:
 
 
 def distribution_from_json(obj, space: StateSpace) -> JointDistribution:
-    if not isinstance(obj, dict) or "entries" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
         raise InputError("distribution file must contain an 'entries' list")
     table = {}
     for entry in obj["entries"]:

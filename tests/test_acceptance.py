@@ -38,7 +38,6 @@ from robustci import (
 )
 from robustci.decomp import verify_primary_decomposition, verify_union_decomposition
 from robustci.gibbs import (
-    all_subsets,
     gibbs_kernel,
     is_uniformly_robust_at,
     potential_robustness_criterion,
@@ -46,6 +45,7 @@ from robustci.gibbs import (
 )
 from robustci.graph import InputGraph, cube_complement_category
 from robustci.ideal import edge_generators, groebner_set, is_reduced
+from robustci.model import node_subsets as all_subsets
 from robustci.polyengine import buchberger, buchberger_criterion, is_bihomogeneous
 
 

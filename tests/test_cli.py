@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from robustci import (
     JointDistribution,
     RobustnessStructure,
@@ -152,6 +154,18 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "sum != 1" in out
 
+    @pytest.mark.parametrize("spec, dist", [
+        ({"uniform_k": "x"}, {"entries": []}),
+        ("uniform_k", {"entries": []}),
+        ({"pairs": [{"R": [1], "y": ["a"]}]}, {"entries": []}),
+        ({"uniform_k": 1}, {"entries": 5}),
+    ], ids=["uniform-k-not-int", "spec-not-object", "letter-not-int", "entries-not-list"])
+    def test_malformed_files_exit_2(self, tmp_path, capsys, spec, dist):
+        model_path = write_json(tmp_path / "m.json", {"d0": 2, "d": [2, 2], "spec": spec})
+        dist_path = write_json(tmp_path / "d.json", dist)
+        assert main(["check", "--model", model_path, "--dist", dist_path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestGroebnerCommand:
     def test_single_edge_d3_verified(self, tmp_path):
@@ -254,6 +268,13 @@ class TestDecomposeCommand:
         obj = json.loads(out.read_text())
         assert obj["admissible_Y"] == [[[1, 1], [1, 2], [2, 1], [2, 2]]]
 
+    def test_negative_trials_exit_2(self, tmp_path, capsys):
+        model_path, _ = cube_model(tmp_path)
+        out = tmp_path / "report.json"
+        assert main(["decompose", "--model", model_path, "--trials", "-1", "--out", str(out)]) == 2
+        assert "--trials" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGibbsCommand:
     def test_neuron_round_trip(self, tmp_path):
@@ -286,15 +307,3 @@ class TestGibbsCommand:
 
     def test_needs_input(self):
         assert main(["gibbs"]) == 2
-
-
-class TestEnvironment:
-    def test_bad_thread_cap_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ROBUSTCI_THREADS", "zero")
-        model_path, _ = cube_model(tmp_path)
-        assert main(["graph", "--model", model_path]) == 2
-
-    def test_thread_cap_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ROBUSTCI_THREADS", "4")
-        model_path, _ = cube_model(tmp_path)
-        assert main(["graph", "--model", model_path, "--out", str(tmp_path / "g.json")]) == 0

@@ -13,7 +13,6 @@ from robustci import (
     component_ideal,
     components_of,
     containment,
-    is_admissible_Y,
     is_maximal,
     is_robust,
     make_uniform_spec,
@@ -69,24 +68,26 @@ class TestComponentIdeal:
 
 class TestAdmissibility:
     def test_full_support(self):
-        assert is_admissible_Y(cube_graph(), cube_graph().vertices)
+        g = cube_graph()
+        assert is_maximal(components_of(g, g.vertices), g)
 
     def test_cube_parity_complement(self):
         g = cube_graph()
         support = [x for x in g.vertices if sum(x) % 2 == 0]
-        assert is_admissible_Y(g, support)
+        assert is_maximal(components_of(g, support), g)
 
     def test_cube_minus_one_vertex(self):
         g = cube_graph()
         support = [x for x in g.vertices if x != (1, 1, 1)]
-        assert not is_admissible_Y(g, support)
+        assert not is_maximal(components_of(g, support), g)
 
     def test_matches_structure_maximality(self):
         for g in (SINGLE_EDGE, THREE_VERTEX, cube_graph()):
             verts = g.vertices
+            admissible = admissible_sets(g)
             for mask in range(1 << len(verts)):
                 support = frozenset(verts[i] for i in range(len(verts)) if mask >> i & 1)
-                assert is_admissible_Y(g, support) == is_maximal(components_of(g, support), g)
+                assert (support in admissible) == is_maximal(components_of(g, support), g)
 
     def test_admissible_sets_enumeration(self):
         assert admissible_sets(SINGLE_EDGE) == [frozenset({(1,), (2,)})]

@@ -22,7 +22,6 @@ from robustci import (
     potential_robustness_criterion,
 )
 from robustci.gibbs import (
-    all_subsets,
     is_uniformly_robust_at,
     modalities_from_json,
     modalities_from_potentials,
@@ -31,11 +30,12 @@ from robustci.gibbs import (
     tilde_constraint_report,
     uniform_modalities,
 )
+from robustci.model import node_subsets
 
 
 def random_modalities(space, rng):
     kernels = {}
-    for nodes in all_subsets(space.n):
+    for nodes in node_subsets(space.n):
         rows = {}
         for xa in space.partial_configs(nodes):
             raw = [rng.uniform(0.05, 1.0) for _ in range(space.d0)]
@@ -48,7 +48,7 @@ def random_modalities(space, rng):
 def constant_modalities(space, row):
     kernels = {
         nodes: {xa: tuple(row) for xa in space.partial_configs(nodes)}
-        for nodes in all_subsets(space.n)
+        for nodes in node_subsets(space.n)
     }
     return FunctionalModalities(space, kernels)
 
@@ -81,7 +81,7 @@ class TestMoebiusPotentials:
         space = StateSpace(3, (2, 2))
         pots = moebius_potentials(uniform_modalities(space))
         assert all(abs(v - math.log(1 / 3)) < 1e-12 for v in pots.value((), ()))
-        for nodes in all_subsets(2):
+        for nodes in node_subsets(2):
             if not nodes:
                 continue
             for xa, row in pots.phi[nodes].items():
@@ -102,7 +102,7 @@ class TestMoebiusPotentials:
     def test_inversion_identity_neuron(self):
         mods = neuron_modalities([1.0, -2.0])
         pots = moebius_potentials(mods)
-        for nodes in all_subsets(2):
+        for nodes in node_subsets(2):
             for xa in mods.space.partial_configs(nodes):
                 logs = [math.log(p) for p in mods.row(nodes, xa)]
                 acc = [0.0, 0.0]
@@ -129,7 +129,7 @@ class TestGibbsKernel:
     def test_zero_potentials_give_uniform(self):
         space = StateSpace(4, (2,))
         phi = {nodes: {xa: (0.0,) * 4 for xa in space.partial_configs(nodes)}
-               for nodes in all_subsets(1)}
+               for nodes in node_subsets(1)}
         rows = gibbs_kernel(GibbsPotentials(space, phi), (1,))
         assert all(abs(p - 0.25) < 1e-12 for row in rows.values() for p in row)
 
@@ -139,7 +139,7 @@ class TestGibbsKernel:
             space = StateSpace(rng.randint(2, 3), tuple(rng.randint(2, 3) for _ in range(rng.randint(1, 3))))
             mods = random_modalities(space, rng)
             pots = moebius_potentials(mods)
-            for nodes in all_subsets(space.n):
+            for nodes in node_subsets(space.n):
                 rebuilt = gibbs_kernel(pots, nodes)
                 for xa, row in rebuilt.items():
                     original = mods.row(nodes, xa)
@@ -240,7 +240,7 @@ class TestKInteraction:
         mods = random_modalities(space, rng)
         dec = k_interaction_decompose(mods, 2)
         pots = moebius_potentials(mods)
-        for nodes in all_subsets(2):
+        for nodes in node_subsets(2):
             rec = reconstruct_potential(dec, nodes)
             for xa, row in rec.items():
                 target = pots.value(nodes, xa)
@@ -252,7 +252,7 @@ class TestKInteraction:
         for k in range(0, 4):
             dec = k_interaction_decompose(mods, k)
             pots = moebius_potentials(mods)
-            for nodes in all_subsets(3):
+            for nodes in node_subsets(3):
                 rec = reconstruct_potential(dec, nodes)
                 for xa, row in rec.items():
                     target = pots.value(nodes, xa)
@@ -296,7 +296,7 @@ class TestPositiveMixture:
         mixed = positive_mixture(mods, 1e-6)
         sup = max(
             abs(a - b)
-            for nodes in all_subsets(2)
+            for nodes in node_subsets(2)
             for xa in mods.space.partial_configs(nodes)
             for a, b in zip(mixed.row(nodes, xa), mods.row(nodes, xa))
         )
@@ -366,7 +366,7 @@ class TestSerialization:
         obj = json.loads(json.dumps(modalities_to_json(mods)))
         loaded = modalities_from_json(obj)
         assert loaded.space == mods.space
-        for nodes in all_subsets(2):
+        for nodes in node_subsets(2):
             for xa in mods.space.partial_configs(nodes):
                 assert loaded.row(nodes, xa) == mods.row(nodes, xa)
 

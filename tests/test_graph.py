@@ -12,7 +12,6 @@ from robustci import (
     StateSpace,
     build_graph,
     check_product_form,
-    coarsen_structure,
     components_of,
     enumerate_maximal_structures,
     grow_to_maximal,
@@ -159,6 +158,18 @@ class TestMaximality:
         with pytest.raises(InputError):
             is_maximal(wrong, g)
 
+    def test_configuration_outside_the_graph(self):
+        space = StateSpace(2, (2, 2))
+        g = build_graph(make_uniform_spec(1, space), space)
+        stray = RobustnessStructure.from_blocks(space, [[(1, 1)], [(9, 9)]])
+        # (9, 9) is no vertex: the blocks are not the components, which is an
+        # input error, not a failed lookup
+        with pytest.raises(InputError):
+            is_maximal(stray, g)
+        with pytest.raises(InputError):
+            maximality_by_edges(stray, g)
+        assert grow_to_maximal(g, [(9, 9)]) == grow_to_maximal(g, [])
+
     def test_conditions_agree_on_small_graphs(self):
         for d, k in [((2, 2), 1), ((2, 2), 2), ((3,), 0), ((2, 2, 2), 2)]:
             space = StateSpace(2, d)
@@ -210,15 +221,15 @@ class TestCoarsening:
     def test_same_graph_identity(self):
         g = cube_graph()
         s = components_of(g, {(1, 1, 1), (1, 1, 2), (2, 2, 2)})
-        assert coarsen_structure(s, g) == s
+        assert components_of(g, s.support) == s
 
     def test_four_input_blocks_survive_k2_and_split_at_k3(self):
         space = StateSpace(2, (2, 2, 2, 2))
         g2 = build_graph(make_uniform_spec(2, space), space)
         g3 = build_graph(make_uniform_spec(3, space), space)
         s = components_of(g2, {(1, 1, 1, 1), (2, 2, 1, 1), (1, 2, 2, 2), (2, 1, 2, 2)})
-        assert coarsen_structure(s, g2) == s
-        split = coarsen_structure(s, g3)
+        assert components_of(g2, s.support) == s
+        split = components_of(g3, s.support)
         assert [len(b) for b in split.blocks] == [1, 1, 1, 1]
 
     def test_each_block_lands_in_one_coarse_block(self):
@@ -226,7 +237,7 @@ class TestCoarsening:
         g2 = cube_graph()
         g1 = build_graph(make_uniform_spec(1, space), space)
         for s in enumerate_maximal_structures(g2):
-            coarse = coarsen_structure(s, g1)
+            coarse = components_of(g1, s.support)
             index = coarse.block_index()
             for block in s.blocks:
                 assert len({index[x] for x in block}) == 1
