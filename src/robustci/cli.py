@@ -91,9 +91,10 @@ def cmd_structures(args) -> int:
     space, spec = _load_model(args.model)
     g = graphmod.build_graph(spec, space)
     if args.all:
-        if len(g.vertices) > 12:
+        cap = min(12, args.cap_vertices)
+        if len(g.vertices) > cap:
             raise ResourceLimitError(
-                f"{len(g.vertices)} vertices exceed the all-structures cap of 12"
+                f"{len(g.vertices)} vertices exceed the all-structures cap of {cap}"
             )
         structures = sorted(
             (
@@ -182,8 +183,6 @@ def cmd_groebner(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    if args.trials < 0:
-        raise InputError(f"--trials must be >= 0, got {args.trials}")
     space, spec = _load_model(args.model)
     g = graphmod.build_graph(spec, space)
     d0 = args.d0 if args.d0 is not None else space.d0
@@ -322,6 +321,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "groebner" and not (args.model or args.graph):
             raise InputError("groebner needs --model or --graph")
+        for name in ("cap_vertices", "cap_spairs", "trials"):
+            value = getattr(args, name, 0)
+            if value < 0:
+                raise InputError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -239,7 +239,7 @@ def format_fraction(q: Fraction) -> str:
 def parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"bad rational {text!r}: {exc}") from exc
 
 

@@ -101,6 +101,17 @@ class TestStructuresCommand:
         assert obj["count"] == 4  # every subset of a two-element space
         assert sum(1 for s in obj["structures"] if s["maximal"]) == 1
 
+    def test_all_mode_obeys_cap_vertices(self, tmp_path, capsys):
+        space = StateSpace(2, (2, 2))
+        model_path = write_json(tmp_path / "m.json", model_to_json(space, uniform_k=1))
+        out = tmp_path / "structures.json"
+        argv = ["structures", "--model", model_path, "--all", "--out", str(out)]
+        assert main(argv + ["--cap-vertices", "2"]) == 3
+        assert "all-structures cap of 2" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv + ["--cap-vertices", "4"]) == 0
+        assert json.loads(out.read_text())["count"] == 16
+
 
 class TestCheckCommand:
     def test_built_distribution_is_robust(self, tmp_path):
@@ -154,17 +165,23 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "sum != 1" in out
 
-    @pytest.mark.parametrize("spec, dist", [
-        ({"uniform_k": "x"}, {"entries": []}),
-        ("uniform_k", {"entries": []}),
-        ({"pairs": [{"R": [1], "y": ["a"]}]}, {"entries": []}),
-        ({"uniform_k": 1}, {"entries": 5}),
-    ], ids=["uniform-k-not-int", "spec-not-object", "letter-not-int", "entries-not-list"])
-    def test_malformed_files_exit_2(self, tmp_path, capsys, spec, dist):
+    @pytest.mark.parametrize("spec, dist, message", [
+        ({"uniform_k": "x"}, {"entries": []}, "bad uniform_k"),
+        ("uniform_k", {"entries": []}, "must be a JSON object"),
+        ({"pairs": [{"R": [1], "y": ["a"]}]}, {"entries": []}, "must hold integers"),
+        ({"uniform_k": 1}, {"entries": 5}, "'entries' list"),
+        ({"uniform_k": 1}, {"entries": [{"x0": 1, "x": [1, 1], "p": float("inf")}]},
+         "bad rational"),
+        ({"uniform_k": 1}, {"entries": [{"x0": 1, "x": [1, 1], "p": float("-inf")}]},
+         "bad rational"),
+    ], ids=["uniform-k-not-int", "spec-not-object", "letter-not-int", "entries-not-list",
+            "p-infinity", "p-minus-infinity"])
+    def test_malformed_files_exit_2(self, tmp_path, capsys, spec, dist, message):
         model_path = write_json(tmp_path / "m.json", {"d0": 2, "d": [2, 2], "spec": spec})
         dist_path = write_json(tmp_path / "d.json", dist)
         assert main(["check", "--model", model_path, "--dist", dist_path]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 class TestGroebnerCommand:
@@ -273,6 +290,21 @@ class TestDecomposeCommand:
         out = tmp_path / "report.json"
         assert main(["decompose", "--model", model_path, "--trials", "-1", "--out", str(out)]) == 2
         assert "--trials" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNegativeCaps:
+    @pytest.mark.parametrize("command, flag", [
+        ("structures", "--cap-vertices"),
+        ("groebner", "--cap-vertices"),
+        ("groebner", "--cap-spairs"),
+        ("decompose", "--cap-spairs"),
+    ])
+    def test_negative_cap_exits_2(self, tmp_path, capsys, command, flag):
+        model_path, _ = cube_model(tmp_path)
+        out = tmp_path / "out.json"
+        assert main([command, "--model", model_path, flag, "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be >= 0, got -1\n"
         assert not out.exists()
 
 

@@ -1,4 +1,6 @@
 import itertools
+import json
+import random
 from math import comb
 
 import pytest
@@ -67,6 +69,75 @@ def brute_force_maximal_supports(vertices, adjacent):
         if all(len(comps(sub + [x])) < base for x in vertices if x not in sub):
             maximal.append(frozenset(sub))
     return maximal
+
+
+def pairwise_scan_graph(spec, space):
+    """Oracle: test every vertex pair against every pair of the spec.
+
+    The witness of an edge is the first pair in sorted order that pins both
+    endpoints.  This is the O(m^2 * |spec|) scan that ``build_graph`` replaces.
+    """
+    pairs = spec.sorted_pairs()
+    edges = []
+    witnesses = {}
+    for x, y in itertools.combinations(space.configs(), 2):
+        for nodes, pinned in pairs:
+            if restrict(x, nodes) == pinned and restrict(y, nodes) == pinned:
+                edges.append((x, y))
+                witnesses[(x, y)] = (nodes, pinned)
+                break
+    return InputGraph(space, edges, witnesses)
+
+
+def assert_matches_oracle(spec, space):
+    g, oracle = build_graph(spec, space), pairwise_scan_graph(spec, space)
+    assert g.edge_list() == oracle.edge_list()
+    assert g.edge_witness == oracle.edge_witness
+    assert json.dumps(graph_to_json(g), indent=2, sort_keys=True) == json.dumps(
+        graph_to_json(oracle), indent=2, sort_keys=True
+    )
+
+
+class TestBuildGraphOracle:
+    def test_every_spec_on_the_two_by_two_space(self):
+        space = StateSpace(2, (2, 2))
+        pairs = make_uniform_spec(0, space).sorted_pairs()  # every possible pair
+        assert len(pairs) == 9 and ((), ()) in pairs
+        for mask in range(1 << len(pairs)):
+            spec = RobustnessSpec.of(p for i, p in enumerate(pairs) if mask >> i & 1)
+            assert_matches_oracle(spec, space)
+
+    @pytest.mark.parametrize("d", [(2, 3), (3, 3), (2, 2, 2, 2), (2, 4, 8)])
+    def test_seeded_random_specs(self, d):
+        space = StateSpace(2, d)
+        pairs = make_uniform_spec(0, space).sorted_pairs()  # every possible pair
+        rng = random.Random(repr(d))
+        for _ in range(12):
+            size = rng.randint(0, min(len(pairs), 16))
+            assert_matches_oracle(RobustnessSpec.of(rng.sample(pairs, size)), space)
+        for k in range(space.n + 1):
+            assert_matches_oracle(make_uniform_spec(k, space), space)
+
+    def test_single_configuration_pin_adds_no_edge(self):
+        space = StateSpace(2, (2, 3))
+        spec = RobustnessSpec.of([((1, 2), (2, 3))])
+        assert_matches_oracle(spec, space)
+        assert build_graph(spec, space).num_edges() == 0
+
+    def test_letter_matching_no_configuration_rejected(self):
+        space = StateSpace(2, (2, 3))
+        with pytest.raises(InputError):
+            build_graph(RobustnessSpec.of([((2,), (4,))]), space)
+
+    def test_full_and_partial_cover_of_one_subset(self):
+        space = StateSpace(2, (2, 3))
+        # R = (1,) is pinned to both of its letters, R = (2,) to one of three
+        spec = RobustnessSpec.of([((1,), (1,)), ((1,), (2,)), ((2,), (2,))])
+        assert_matches_oracle(spec, space)
+        g = build_graph(spec, space)
+        assert g.num_edges() == 2 * comb(3, 2) + 1
+        assert g.edge_witness[((1, 2), (2, 2))] == ((2,), (2,))
+        assert g.edge_witness[((1, 1), (1, 2))] == ((1,), (1,))
 
 
 class TestBuildGraph:
