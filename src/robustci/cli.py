@@ -18,7 +18,6 @@ codes follow a fixed contract:
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -213,6 +212,8 @@ def cmd_gibbs(args) -> int:
 
     if not mods.is_strictly_positive():
         raise InputError("positivity required: kernels must be strictly positive")
+    if args.k is not None:
+        dec = gibbs.k_interaction_decompose(mods, args.k)
     pots = gibbs.moebius_potentials(mods)
     sup_error = 0.0
     for nodes in model.node_subsets(space.n):
@@ -222,20 +223,9 @@ def cmd_gibbs(args) -> int:
             sup_error = max(sup_error, max(abs(a - b) for a, b in zip(row, original)))
     payload["roundtrip_sup_error"] = sup_error
 
-    table = []
-    full = tuple(range(1, space.n + 1))
-    for x in space.configs():
-        for size in range(1, space.n + 1):
-            for knocked_out in itertools.combinations(full, size):
-                table.append({
-                    "x": list(x),
-                    "S": list(knocked_out),
-                    "robust": gibbs.check_robust_at(mods, x, knocked_out),
-                })
-    payload["robustness"] = table
+    payload["robustness"] = gibbs.robustness_table(mods)
 
     if args.k is not None:
-        dec = gibbs.k_interaction_decompose(mods, args.k)
         payload["tilde_constraints"] = gibbs.tilde_constraint_report(dec)
         payload["alpha"] = [
             {

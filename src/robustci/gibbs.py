@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,9 +29,34 @@ ROW_TOL = 1e-12
 ROBUST_TOL = 1e-9
 
 
-def _sub_restrict(nodes_from, x_from, nodes_to) -> tuple:
-    pos = {i: k for k, i in enumerate(nodes_from)}
-    return tuple(x_from[pos[i]] for i in nodes_to)
+def _projector(positions):
+    """The map taking a tuple to the tuple of its entries at ``positions``."""
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda xa: (xa[p],)
+    return operator.itemgetter(*positions) if positions else lambda xa: ()
+
+
+def _subset_sums(space, nodes, max_size, table_of, alternating=False) -> dict:
+    """Per partial configuration x on the sorted tuple ``nodes``, the sum of
+    table_of(C)[x_C] over the subsets C of ``nodes`` with |C| <= max_size, by
+    size then lexicographically; ``alternating`` weights each term by
+    (-1)^(|nodes| - |C|).  Each subset's restriction is built once."""
+    terms = []
+    for size in range(max_size + 1):
+        sign = -1.0 if alternating and (len(nodes) - size) % 2 else 1.0
+        for positions in itertools.combinations(range(len(nodes)), size):
+            table = table_of(tuple(nodes[p] for p in positions))
+            terms.append((sign, table, _projector(positions)))
+    out = {}
+    for xa in space.partial_configs(nodes):
+        acc = [0.0] * space.d0
+        for sign, table, project in terms:
+            vals = table[project(xa)]
+            for x0 in range(space.d0):
+                acc[x0] += sign * vals[x0]
+        out[xa] = tuple(acc)
+    return out
 
 
 @dataclass(frozen=True)
@@ -47,13 +73,12 @@ class FunctionalModalities:
 
     def __post_init__(self):
         n = self.space.n
-        expected = set(node_subsets(n))
-        if set(self.kernels) != expected:
+        if len(self.kernels) != 2 ** n or set(self.kernels) != set(node_subsets(n)):
             raise InputError("kernels must cover every subset of the input nodes")
         for nodes in sorted(self.kernels):
             rows = self.kernels[nodes]
-            wanted = set(self.space.partial_configs(nodes))
-            if set(rows) != wanted:
+            wanted = math.prod(self.space.d[i - 1] for i in nodes)
+            if len(rows) != wanted or set(rows) != set(self.space.partial_configs(nodes)):
                 raise InputError(f"kernel rows for subset {nodes} do not cover its configurations")
             for xa, row in rows.items():
                 if len(row) != self.space.d0:
@@ -146,19 +171,10 @@ def moebius_potentials(mods: FunctionalModalities) -> GibbsPotentials:
         nodes: {xa: tuple(math.log(p) for p in row) for xa, row in rows.items()}
         for nodes, rows in mods.kernels.items()
     }
-    phi = {}
-    for nodes in node_subsets(space.n):
-        rows = {}
-        for xa in space.partial_configs(nodes):
-            acc = [0.0] * space.d0
-            for size in range(len(nodes) + 1):
-                for sub in itertools.combinations(nodes, size):
-                    sign = -1.0 if (len(nodes) - size) % 2 else 1.0
-                    vals = logs[sub][_sub_restrict(nodes, xa, sub)]
-                    for x0 in range(space.d0):
-                        acc[x0] += sign * vals[x0]
-            rows[xa] = tuple(acc)
-        phi[nodes] = rows
+    phi = {
+        nodes: _subset_sums(space, nodes, len(nodes), logs.__getitem__, alternating=True)
+        for nodes in node_subsets(space.n)
+    }
     return GibbsPotentials(space, phi)
 
 
@@ -170,13 +186,7 @@ def gibbs_kernel(pots: GibbsPotentials, nodes) -> dict:
     space = pots.space
     nodes = tuple(sorted(nodes))
     rows = {}
-    for xa in space.partial_configs(nodes):
-        weights = [0.0] * space.d0
-        for size in range(len(nodes) + 1):
-            for sub in itertools.combinations(nodes, size):
-                vals = pots.phi[sub][_sub_restrict(nodes, xa, sub)]
-                for x0 in range(space.d0):
-                    weights[x0] += vals[x0]
+    for xa, weights in _subset_sums(space, nodes, len(nodes), pots.phi.__getitem__).items():
         if any(math.isnan(w) for w in weights):
             raise InputError(f"non-finite log-weights at {nodes}:{xa}")
         top = max(weights)
@@ -203,6 +213,25 @@ def check_robust_at(mods: FunctionalModalities, x: Config, knocked_out, tol: flo
     full = mods.row(tuple(range(1, space.n + 1)), x)
     post = mods.row(remaining, restrict(x, remaining))
     return all(abs(a - b) <= tol for a, b in zip(full, post))
+
+
+def robustness_table(mods: FunctionalModalities) -> list:
+    """:func:`check_robust_at` at every configuration x against every nonempty
+    knockout S, as entries {"x", "S", "robust"} with x in canonical order and
+    S by size then lexicographically."""
+    full = tuple(range(1, mods.space.n + 1))
+    knockouts = []
+    for knocked_out in node_subsets(mods.space.n, 1):
+        remaining = tuple(i for i in full if i not in knocked_out)
+        project = _projector(tuple(i - 1 for i in remaining))
+        knockouts.append((knocked_out, mods.kernels[remaining], project))
+    table = []
+    for x in mods.space.configs():
+        row = mods.kernels[full][x]
+        for knocked_out, post_rows, project in knockouts:
+            robust = all(abs(a - b) <= ROBUST_TOL for a, b in zip(row, post_rows[project(x)]))
+            table.append({"x": list(x), "S": list(knocked_out), "robust": robust})
+    return table
 
 
 def potential_robustness_criterion(pots: GibbsPotentials, x: Config, knocked_out, tol: float = ROBUST_TOL) -> bool:
@@ -258,7 +287,9 @@ def k_interaction_decompose(mods: FunctionalModalities, k: int) -> KInteractionD
 
     Wherever the modalities are robust at x against every knockout leaving at
     least k inputs, summing psi[C, A] over C recovers the Moebius potential of
-    A at x.
+    A at x.  A term depends on A only through |A|, so every A of one size
+    shares a single row map per C: the row maps of ``psi`` are shared per
+    (C, |A|) and must not be mutated.
     """
     if not 0 <= k <= mods.space.n:
         raise InputError(f"k must lie in 0..{mods.space.n}, got {k}")
@@ -270,31 +301,26 @@ def k_interaction_decompose(mods: FunctionalModalities, k: int) -> KInteractionD
         for nodes, rows in mods.kernels.items()
     }
     psi = {}
+    shared = {}
     for large in node_subsets(space.n):
         for size in range(min(k, len(large)) + 1):
             for small in itertools.combinations(large, size):
-                coeff = float(alpha_coefficient(len(large), len(small), k))
-                psi[(small, large)] = {
-                    xc: tuple(coeff * v for v in row)
-                    for xc, row in logs[small].items()
-                }
+                rows = shared.get((small, len(large)))
+                if rows is None:
+                    coeff = float(alpha_coefficient(len(large), len(small), k))
+                    rows = shared[(small, len(large))] = {
+                        xc: tuple(coeff * v for v in row)
+                        for xc, row in logs[small].items()
+                    }
+                psi[(small, large)] = rows
     return KInteractionDecomposition(space, k, psi)
 
 
 def reconstruct_potential(dec: KInteractionDecomposition, nodes) -> dict:
     """Sum of the interaction terms of a subset, per partial configuration."""
-    space = dec.space
     nodes = tuple(sorted(nodes))
-    out = {}
-    for xa in space.partial_configs(nodes):
-        acc = [0.0] * space.d0
-        for size in range(min(dec.k, len(nodes)) + 1):
-            for small in itertools.combinations(nodes, size):
-                vals = dec.psi[(small, nodes)][_sub_restrict(nodes, xa, small)]
-                for x0 in range(space.d0):
-                    acc[x0] += vals[x0]
-        out[xa] = tuple(acc)
-    return out
+    max_size = min(dec.k, len(nodes))
+    return _subset_sums(dec.space, nodes, max_size, lambda small: dec.psi[(small, nodes)])
 
 
 def positive_mixture(mods: FunctionalModalities, eps: float) -> FunctionalModalities:
@@ -332,6 +358,11 @@ def tilde_constraint_report(dec: KInteractionDecomposition, tol: float = ROBUST_
     the displayed weighted-sum identity, implemented exactly as written (the
     sum bound of one side multiplies the term of the other side); failures of
     the two families are reported independently.
+
+    A pair A < A' gets one entry per configuration on B where it fails.  For
+    each B the count is memoised on (id(psi[B, A]), id(psi[B, A']), |A|, |A'|):
+    identical row-map objects give identical counts, and distinct objects are
+    compared entry by entry even when their contents are equal.
     """
     space = dec.space
     k = dec.k
@@ -340,24 +371,32 @@ def tilde_constraint_report(dec: KInteractionDecomposition, tol: float = ROBUST_
     by_small = {}
     for (small, large) in dec.psi:
         by_small.setdefault(small, []).append(large)
+    weights = [float(_weighted_sum_coefficient(size, k)) for size in range(space.n + 1)]
     for small, larges in sorted(by_small.items()):
+        if len(small) > k:
+            continue
+        family = family_small if len(small) < k else family_k
+        configs = space.partial_configs(small)
         larges = sorted(larges)
+        failures = {}
         for a_idx in range(len(larges)):
             for b_idx in range(a_idx + 1, len(larges)):
                 la, lb = larges[a_idx], larges[b_idx]
-                for xc in space.partial_configs(small):
-                    va = dec.psi[(small, la)][xc]
-                    vb = dec.psi[(small, lb)][xc]
+                rows_a, rows_b = dec.psi[(small, la)], dec.psi[(small, lb)]
+                key = (id(rows_a), id(rows_b), len(la), len(lb))
+                count = failures.get(key)
+                if count is None:
                     if len(small) < k:
-                        sa = (-1.0) ** len(la)
-                        sb = (-1.0) ** len(lb)
-                        if any(abs(sa * p - sb * q) > tol for p, q in zip(va, vb)):
-                            family_small.append({"B": list(small), "A": list(la), "A_prime": list(lb)})
-                    elif len(small) == k:
-                        ca = float(_weighted_sum_coefficient(len(lb), k))
-                        cb = float(_weighted_sum_coefficient(len(la), k))
-                        if any(abs(ca * p - cb * q) > tol for p, q in zip(va, vb)):
-                            family_k.append({"B": list(small), "A": list(la), "A_prime": list(lb)})
+                        ca, cb = (-1.0) ** len(la), (-1.0) ** len(lb)
+                    else:
+                        ca, cb = weights[len(lb)], weights[len(la)]
+                    count = failures[key] = sum(
+                        any(abs(ca * p - cb * q) > tol for p, q in zip(rows_a[xc], rows_b[xc]))
+                        for xc in configs
+                    )
+                family.extend(
+                    {"B": list(small), "A": list(la), "A_prime": list(lb)} for _ in range(count)
+                )
     return {
         "low_order_ok": not family_small,
         "order_k_ok": not family_k,
@@ -404,6 +443,8 @@ def modalities_to_json(mods: FunctionalModalities) -> dict:
 def modalities_from_json(obj) -> FunctionalModalities:
     try:
         space = StateSpace(int(obj["d0"]), [int(v) for v in obj["d"]])
+        if obj.get("n", space.n) != space.n:
+            raise InputError(f"n={obj['n']!r} disagrees with len(d)={space.n}")
         kernels = {}
         for nodes_text, rows in obj["kernels"].items():
             nodes = _str_to_key(nodes_text)
@@ -411,6 +452,6 @@ def modalities_from_json(obj) -> FunctionalModalities:
                 _str_to_key(xa): tuple(float(p) for p in row)
                 for xa, row in rows.items()
             }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"bad modalities file: {exc}") from exc
     return FunctionalModalities(space, kernels)

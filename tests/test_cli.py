@@ -339,3 +339,41 @@ class TestGibbsCommand:
 
     def test_needs_input(self):
         assert main(["gibbs"]) == 2
+
+    @pytest.mark.parametrize("mods_obj", [
+        {"n": 1, "d0": 2, "d": [2], "kernels": []},
+        {"n": 1, "d0": 2, "d": [2], "kernels": {"": [["0.5", "0.5"]]}},
+        {"n": 1, "d0": float("inf"), "d": [2], "kernels": {}},
+        {"n": 1, "d0": 2, "d": [float("inf")], "kernels": {}},
+    ], ids=["kernels-list", "rows-list", "d0-infinity", "d-infinity"])
+    def test_malformed_modalities_exit_2(self, tmp_path, capsys, mods_obj):
+        mods_path = write_json(tmp_path / "mods.json", mods_obj)
+        assert main(["gibbs", "--modalities", str(mods_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad modalities file: ")
+        assert err.count("bad modalities file") == 1
+
+    def test_n_disagreeing_with_d_exit_2(self, tmp_path, capsys):
+        mods_obj = {"n": 2, "d0": 2, "d": [2], "kernels": {
+            "": {"": ["0.5", "0.5"]},
+            "1": {"1": ["0.5", "0.5"], "2": ["0.5", "0.5"]},
+        }}
+        mods_path = write_json(tmp_path / "mods.json", mods_obj)
+        assert main(["gibbs", "--modalities", str(mods_path)]) == 2
+        assert capsys.readouterr().err == "error: bad modalities file: n=2 disagrees with len(d)=1\n"
+
+    def test_many_inputs_rejected_before_subset_enumeration(self, tmp_path, capsys):
+        # 2^40 subsets cannot be listed; the kernel count alone rejects the file
+        mods_obj = {"n": 40, "d0": 2, "d": [2] * 40, "kernels": {"": {"": ["0.5", "0.5"]}}}
+        mods_path = write_json(tmp_path / "mods.json", mods_obj)
+        assert main(["gibbs", "--modalities", str(mods_path)]) == 2
+        assert "kernels must cover every subset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["-1", "3"])
+    def test_k_out_of_range_rejected_before_work(self, monkeypatch, capsys, k):
+        def no_work(*args, **kwargs):
+            raise AssertionError("potentials computed before the --k check")
+
+        monkeypatch.setattr("robustci.gibbs.moebius_potentials", no_work)
+        assert main(["gibbs", "--neuron", "1,-2", "--k", k]) == 2
+        assert capsys.readouterr().err == f"error: k must lie in 0..2, got {k}\n"

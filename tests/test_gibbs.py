@@ -10,6 +10,7 @@ from robustci import (
     FunctionalModalities,
     GibbsPotentials,
     InputError,
+    KInteractionDecomposition,
     StateSpace,
     alpha_coefficient,
     check_robust_at,
@@ -22,11 +23,13 @@ from robustci import (
     potential_robustness_criterion,
 )
 from robustci.gibbs import (
+    _weighted_sum_coefficient,
     is_uniformly_robust_at,
     modalities_from_json,
     modalities_from_potentials,
     modalities_to_json,
     reconstruct_potential,
+    robustness_table,
     tilde_constraint_report,
     uniform_modalities,
 )
@@ -382,3 +385,204 @@ class TestSerialization:
         space = StateSpace(2, (2,))
         with pytest.raises(InputError):
             FunctionalModalities(space, {(): {(): (0.5, 0.5)}})
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the straightforward per-configuration forms of the gibbs layer.
+# They restrict every configuration through a fresh position map, rebuild
+# each interaction term for every ambient set and compare every pair of
+# ambient sets at every configuration.  The fast paths must agree with them
+# exactly, floats bit for bit and reports entry for entry.
+
+def _oracle_sub_restrict(nodes_from, x_from, nodes_to):
+    pos = {i: k for k, i in enumerate(nodes_from)}
+    return tuple(x_from[pos[i]] for i in nodes_to)
+
+
+def _oracle_moebius_potentials(mods):
+    space = mods.space
+    logs = {
+        nodes: {xa: tuple(math.log(p) for p in row) for xa, row in rows.items()}
+        for nodes, rows in mods.kernels.items()
+    }
+    phi = {}
+    for nodes in node_subsets(space.n):
+        rows = {}
+        for xa in space.partial_configs(nodes):
+            acc = [0.0] * space.d0
+            for size in range(len(nodes) + 1):
+                for sub in itertools.combinations(nodes, size):
+                    sign = -1.0 if (len(nodes) - size) % 2 else 1.0
+                    vals = logs[sub][_oracle_sub_restrict(nodes, xa, sub)]
+                    for x0 in range(space.d0):
+                        acc[x0] += sign * vals[x0]
+            rows[xa] = tuple(acc)
+        phi[nodes] = rows
+    return phi
+
+
+def _oracle_gibbs_kernel(pots, nodes):
+    space = pots.space
+    rows = {}
+    for xa in space.partial_configs(nodes):
+        weights = [0.0] * space.d0
+        for size in range(len(nodes) + 1):
+            for sub in itertools.combinations(nodes, size):
+                vals = pots.phi[sub][_oracle_sub_restrict(nodes, xa, sub)]
+                for x0 in range(space.d0):
+                    weights[x0] += vals[x0]
+        top = max(weights)
+        expd = [math.exp(w - top) for w in weights]
+        total = sum(expd)
+        rows[xa] = tuple(e / total for e in expd)
+    return rows
+
+
+def _oracle_psi(mods, k):
+    """Interaction terms with a separate row map for every (C, A)."""
+    psi = {}
+    for large in node_subsets(mods.space.n):
+        for size in range(min(k, len(large)) + 1):
+            for small in itertools.combinations(large, size):
+                coeff = float(alpha_coefficient(len(large), len(small), k))
+                psi[(small, large)] = {
+                    xc: tuple(coeff * math.log(p) for p in row)
+                    for xc, row in mods.kernels[small].items()
+                }
+    return psi
+
+
+def _oracle_reconstruct_potential(dec, nodes):
+    space = dec.space
+    out = {}
+    for xa in space.partial_configs(nodes):
+        acc = [0.0] * space.d0
+        for size in range(min(dec.k, len(nodes)) + 1):
+            for small in itertools.combinations(nodes, size):
+                vals = dec.psi[(small, nodes)][_oracle_sub_restrict(nodes, xa, small)]
+                for x0 in range(space.d0):
+                    acc[x0] += vals[x0]
+        out[xa] = tuple(acc)
+    return out
+
+
+def _oracle_tilde_constraint_report(dec, tol=1e-9):
+    space = dec.space
+    k = dec.k
+    family_small = []
+    family_k = []
+    by_small = {}
+    for (small, large) in dec.psi:
+        by_small.setdefault(small, []).append(large)
+    for small, larges in sorted(by_small.items()):
+        larges = sorted(larges)
+        for a_idx in range(len(larges)):
+            for b_idx in range(a_idx + 1, len(larges)):
+                la, lb = larges[a_idx], larges[b_idx]
+                for xc in space.partial_configs(small):
+                    va = dec.psi[(small, la)][xc]
+                    vb = dec.psi[(small, lb)][xc]
+                    if len(small) < k:
+                        sa = (-1.0) ** len(la)
+                        sb = (-1.0) ** len(lb)
+                        if any(abs(sa * p - sb * q) > tol for p, q in zip(va, vb)):
+                            family_small.append({"B": list(small), "A": list(la), "A_prime": list(lb)})
+                    elif len(small) == k:
+                        ca = float(_weighted_sum_coefficient(len(lb), k))
+                        cb = float(_weighted_sum_coefficient(len(la), k))
+                        if any(abs(ca * p - cb * q) > tol for p, q in zip(va, vb)):
+                            family_k.append({"B": list(small), "A": list(la), "A_prime": list(lb)})
+    return {
+        "low_order_ok": not family_small,
+        "order_k_ok": not family_k,
+        "low_order_violations": family_small,
+        "order_k_violations": family_k,
+    }
+
+
+def _oracle_robustness_table(mods):
+    full = tuple(range(1, mods.space.n + 1))
+    return [
+        {"x": list(x), "S": list(knocked_out), "robust": check_robust_at(mods, x, knocked_out)}
+        for x in mods.space.configs()
+        for size in range(1, mods.space.n + 1)
+        for knocked_out in itertools.combinations(full, size)
+    ]
+
+
+def _neuron_instance(n):
+    rng = random.Random(100 + n)
+    return neuron_modalities([round(rng.uniform(-2.0, 2.0), 3) for _ in range(n)])
+
+
+def _family_instance(seed):
+    rng = random.Random(seed)
+    d = [2, 3, 4]
+    rng.shuffle(d)
+    return random_modalities(StateSpace(3, tuple(d)), rng)
+
+
+ORACLE_INSTANCES = (
+    [pytest.param(lambda n=n: _neuron_instance(n), id=f"neuron-{n}") for n in range(1, 7)]
+    + [pytest.param(lambda s=s: _family_instance(s), id=f"family-234-seed{s}") for s in range(3)]
+)
+
+
+class TestFastPathsMatchOracles:
+    @pytest.mark.parametrize("make", ORACLE_INSTANCES)
+    def test_potentials_kernels_and_table(self, make):
+        mods = make()
+        pots = moebius_potentials(mods)
+        assert pots.phi == _oracle_moebius_potentials(mods)
+        for nodes in node_subsets(mods.space.n):
+            assert gibbs_kernel(pots, nodes) == _oracle_gibbs_kernel(pots, nodes)
+        assert robustness_table(mods) == _oracle_robustness_table(mods)
+
+    @pytest.mark.parametrize("make", ORACLE_INSTANCES)
+    def test_decomposition_and_tilde_report_every_k(self, make):
+        mods = make()
+        n = mods.space.n
+        for k in range(n + 1):
+            dec = k_interaction_decompose(mods, k)
+            unshared = KInteractionDecomposition(mods.space, k, _oracle_psi(mods, k))
+            assert dec.psi == unshared.psi
+            for nodes in node_subsets(n):
+                assert reconstruct_potential(dec, nodes) == _oracle_reconstruct_potential(dec, nodes)
+            assert tilde_constraint_report(dec) == _oracle_tilde_constraint_report(unshared)
+
+    def test_rows_shared_per_subset_and_size(self):
+        dec = k_interaction_decompose(_neuron_instance(3), 1)
+        assert dec.psi[((1,), (1, 2))] is dec.psi[((1,), (1, 3))]
+        assert dec.psi[((1,), (1, 2))] is not dec.psi[((1,), (1, 2, 3))]
+        assert dec.psi[((), (1,))] is dec.psi[((), (2,))]
+
+    @pytest.mark.parametrize("k, family", [(1, "order_k_violations"), (2, "low_order_violations")])
+    def test_perturbed_term_on_copied_rows(self, k, family):
+        mods = _family_instance(7)
+        dec = k_interaction_decompose(mods, k)
+        psi = {key: dict(rows) for key, rows in dec.psi.items()}
+        key = ((2,), (1, 2))
+        xc = next(iter(psi[key]))
+        psi[key][xc] = tuple(v + 0.5 for v in psi[key][xc])
+        broken = KInteractionDecomposition(mods.space, k, psi)
+        report = tilde_constraint_report(broken)
+        assert report == _oracle_tilde_constraint_report(broken)
+        assert report[family] != tilde_constraint_report(dec)[family]
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_row_map_shared_across_ambient_sizes(self, k):
+        # one row-map object serves A = (1,), (2,) and (1, 2): the pair
+        # (1,) < (1, 2) differs in |A| and fails, while (1,) < (2,) has equal
+        # sizes and passes, so the memo must tell the two apart
+        mods = random_modalities(StateSpace(2, (2, 2)), random.Random(11))
+        dec = k_interaction_decompose(mods, k)
+        psi = {key: dict(rows) for key, rows in dec.psi.items()}
+        shared = {(): (0.25, -0.75)}
+        for large in ((1,), (2,), (1, 2)):
+            psi[((), large)] = shared
+        hand_built = KInteractionDecomposition(mods.space, k, psi)
+        report = tilde_constraint_report(hand_built)
+        assert report == _oracle_tilde_constraint_report(hand_built)
+        violations = report["low_order_violations" if k else "order_k_violations"]
+        assert {"B": [], "A": [1], "A_prime": [1, 2]} in violations
+        assert {"B": [], "A": [1], "A_prime": [2]} not in violations
