@@ -33,27 +33,39 @@ def _full_config(n: int, nodes_a, part_a, nodes_b, part_b) -> Config:
     return tuple(out)
 
 
+def _first_failing_minor(dist: JointDistribution, nodes, y):
+    """The first nonvanishing 2x2 minor among the columns pinned to y on the sorted
+    node subset, as (x, x', i, j, lhs, rhs) with 0-based letters i < j, or None."""
+    space = dist.space
+    rest = [i for i in range(1, space.n + 1) if i not in nodes]
+    configs = [
+        _full_config(space.n, nodes, y, rest, xs)
+        for xs in space.partial_configs(rest)
+    ]
+    columns = [dist.column(x) for x in configs]
+    for a in range(len(columns)):
+        for b in range(a + 1, len(columns)):
+            u, v = columns[a], columns[b]
+            for i in range(space.d0):
+                for j in range(i + 1, space.d0):
+                    lhs = u[i] * v[j]
+                    rhs = u[j] * v[i]
+                    if lhs != rhs:
+                        return configs[a], configs[b], i, j, lhs, rhs
+    return None
+
+
 def check_ci_statement(dist: JointDistribution, nodes, y) -> bool:
     """Whether the columns pinned to y on the node subset are pairwise proportional.
 
     Equivalently, all 2x2 minors p(a,xS,y)p(b,xS',y) - p(a,xS',y)p(b,xS,y)
     vanish, where S is the complement of the subset.
     """
-    space = dist.space
     nodes = tuple(sorted(set(nodes)))
     y = tuple(y)
     if len(nodes) != len(y):
         raise InputError(f"partial configuration {y} does not match subset {nodes}")
-    rest = [i for i in range(1, space.n + 1) if i not in nodes]
-    columns = [
-        dist.column(_full_config(space.n, nodes, y, rest, xs))
-        for xs in space.partial_configs(rest)
-    ]
-    for a in range(len(columns)):
-        for b in range(a + 1, len(columns)):
-            if not vectors_proportional(columns[a], columns[b]):
-                return False
-    return True
+    return _first_failing_minor(dist, nodes, y) is None
 
 
 def is_robust(dist: JointDistribution, spec: RobustnessSpec) -> bool:
@@ -63,37 +75,25 @@ def is_robust(dist: JointDistribution, spec: RobustnessSpec) -> bool:
 
 def robustness_report(dist: JointDistribution, spec: RobustnessSpec) -> dict:
     """Robustness verdict plus, on failure, the first failing statement and minor."""
-    space = dist.space
     for nodes, y in spec.sorted_pairs():
-        rest = [i for i in range(1, space.n + 1) if i not in nodes]
-        configs = [
-            _full_config(space.n, nodes, y, rest, xs)
-            for xs in space.partial_configs(rest)
-        ]
-        columns = [dist.column(x) for x in configs]
-        for a in range(len(columns)):
-            for b in range(a + 1, len(columns)):
-                u, v = columns[a], columns[b]
-                for i in range(space.d0):
-                    for j in range(i + 1, space.d0):
-                        lhs = u[i] * v[j]
-                        rhs = u[j] * v[i]
-                        if lhs != rhs:
-                            return {
-                                "robust": False,
-                                "failing_statement": {
-                                    "R": list(nodes),
-                                    "y": list(y),
-                                    "witness_minor": {
-                                        "x": list(configs[a]),
-                                        "x_prime": list(configs[b]),
-                                        "x0": i + 1,
-                                        "x0_prime": j + 1,
-                                        "lhs": format_fraction(lhs),
-                                        "rhs": format_fraction(rhs),
-                                    },
-                                },
-                            }
+        failing = _first_failing_minor(dist, nodes, y)
+        if failing is not None:
+            x, x_prime, i, j, lhs, rhs = failing
+            return {
+                "robust": False,
+                "failing_statement": {
+                    "R": list(nodes),
+                    "y": list(y),
+                    "witness_minor": {
+                        "x": list(x),
+                        "x_prime": list(x_prime),
+                        "x0": i + 1,
+                        "x0_prime": j + 1,
+                        "lhs": format_fraction(lhs),
+                        "rhs": format_fraction(rhs),
+                    },
+                },
+            }
     return {"robust": True, "failing_statement": None}
 
 

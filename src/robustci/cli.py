@@ -202,9 +202,11 @@ def cmd_gibbs(args) -> int:
             weights = [float(w) for w in args.neuron.split(",")]
         except ValueError as exc:
             raise InputError(f"bad --neuron weights {args.neuron!r}: {exc}") from exc
+        gibbs.check_table_size((2,) * len(weights))
         mods = gibbs.neuron_modalities(weights)
     elif args.modalities:
         mods = gibbs.modalities_from_json(model.read_json(args.modalities))
+        gibbs.check_table_size(mods.space.d)
     else:
         raise InputError("gibbs needs --modalities FILE or --neuron w1,...,wn")
     space = mods.space

@@ -22,6 +22,11 @@ from .ideal import EdgeBinomial, Unknown, edge_generators
 from .model import format_fraction, vectors_proportional
 from .polyengine import Polynomial, buchberger, intersect_ideals, reduce
 
+# Vertex caps of the admissible-set enumeration, the union check and leg (c).
+ADMISSIBLE_CAP = 20
+UNION_CAP = 12
+INTERSECTION_MAX_VERTICES = 3
+
 
 @dataclass(frozen=True)
 class ComponentIdeal:
@@ -58,13 +63,13 @@ def component_ideal(graph: InputGraph, support, d0: int) -> ComponentIdeal:
     return ComponentIdeal(support, tuple(monomials), tuple(binomials))
 
 
-def admissible_sets(graph: InputGraph, cap: int = 20) -> list:
+def admissible_sets(graph: InputGraph) -> list:
     """All admissible support sets, canonically ordered by sorted vertex list.
 
     Admissibility is maximality of the structure on the support, so these are
     the supports of the maximal structures.
     """
-    return sorted((s.support for s in enumerate_maximal_structures(graph, cap)), key=sorted)
+    return sorted((s.support for s in enumerate_maximal_structures(graph, ADMISSIBLE_CAP)), key=sorted)
 
 
 def containment(graph: InputGraph, outer, inner) -> bool:
@@ -149,7 +154,7 @@ def random_matrix_point(graph: InputGraph, d0: int, rng: random.Random) -> Matri
     return MatrixPoint(d0, columns)
 
 
-def verify_union_decomposition(graph: InputGraph, d0: int, trials: int, seed, cap: int = 12) -> dict:
+def verify_union_decomposition(graph: InputGraph, d0: int, trials: int, seed) -> dict:
     """Seeded check that the variety is covered by the admissible components.
 
     Each trial samples either a structured point (on a random support, built
@@ -158,9 +163,9 @@ def verify_union_decomposition(graph: InputGraph, d0: int, trials: int, seed, ca
     component, and that variety points lie in the component of their own
     support.  The report lists counterexamples; an empty list means pass.
     """
-    if len(graph.vertices) > cap:
+    if len(graph.vertices) > UNION_CAP:
         raise ResourceLimitError(
-            f"{len(graph.vertices)} vertices exceed the verification cap of {cap}"
+            f"{len(graph.vertices)} vertices exceed the verification cap of {UNION_CAP}"
         )
     admissible = admissible_sets(graph)
     counterexamples = []
@@ -203,22 +208,18 @@ def _point_json(point: MatrixPoint, graph: InputGraph) -> list:
     ]
 
 
-def verify_primary_decomposition(
-    graph: InputGraph,
-    d0: int,
-    *,
-    intersection_max_vertices: int = 3,
-    max_pairs: int = 50_000,
-    max_terms: int = 10_000,
-) -> dict:
+def verify_primary_decomposition(graph: InputGraph, d0: int, *, max_pairs: int = 50_000) -> dict:
     """Three-legged verification of the decomposition of the edge ideal.
 
     (a) admissible supports are pairwise non-containing;
     (b) every edge generator lies in every admissible component ideal;
-    (c) on instances with at most ``intersection_max_vertices`` vertices and
+    (c) on instances with at most INTERSECTION_MAX_VERTICES vertices and
         d0 = 2, the elimination-computed intersection of the component ideals
         equals the reduced Groebner basis of the edge ideal ("skipped"
         otherwise).
+
+    Every Groebner computation stops with ResourceLimitError after
+    ``max_pairs`` S-pairs or beyond polyengine.MAX_TERMS terms.
     """
     admissible = admissible_sets(graph)
     counterexamples = []
@@ -238,7 +239,7 @@ def verify_primary_decomposition(
     membership = True
     for y in admissible:
         gens = component_ideal(graph, y, d0).generators()
-        gb = buchberger(gens, max_pairs=max_pairs, max_terms=max_terms)
+        gb = buchberger(gens, max_pairs=max_pairs)
         for f in edge_gens:
             if reduce(f, gb):
                 membership = False
@@ -248,12 +249,12 @@ def verify_primary_decomposition(
                 })
                 break
 
-    if len(graph.vertices) <= intersection_max_vertices and d0 == 2:
+    if len(graph.vertices) <= INTERSECTION_MAX_VERTICES and d0 == 2:
         component_gens = [
             component_ideal(graph, y, d0).generators() for y in admissible
         ]
-        intersection = intersect_ideals(component_gens, max_pairs=max_pairs, max_terms=max_terms)
-        target = buchberger(edge_gens, max_pairs=max_pairs, max_terms=max_terms)
+        intersection = intersect_ideals(component_gens, max_pairs=max_pairs)
+        target = buchberger(edge_gens, max_pairs=max_pairs)
         intersection_equality = set(intersection) == set(target)
         if intersection_equality is False:
             counterexamples.append({"leg": "intersection_equality"})

@@ -22,11 +22,14 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .model import Config, StateSpace, node_subsets, restrict
 
 ROW_TOL = 1e-12
 ROBUST_TOL = 1e-9
+
+# Entries of the largest robustness table built: binary n=8, 2^8 x (2^8 - 1).
+TABLE_CAP = 2 ** 8 * (2 ** 8 - 1)
 
 
 def _projector(positions):
@@ -181,15 +184,16 @@ def moebius_potentials(mods: FunctionalModalities) -> GibbsPotentials:
 def gibbs_kernel(pots: GibbsPotentials, nodes) -> dict:
     """The kernel with log-weights summed over subsets of ``nodes``, row-normalized.
 
-    Exponentiation is stabilized by subtracting the row maximum first.
+    Exponentiation is stabilized by subtracting the row maximum first, so the
+    maximum must be finite; a -inf weight gives probability zero.
     """
     space = pots.space
     nodes = tuple(sorted(nodes))
     rows = {}
     for xa, weights in _subset_sums(space, nodes, len(nodes), pots.phi.__getitem__).items():
-        if any(math.isnan(w) for w in weights):
-            raise InputError(f"non-finite log-weights at {nodes}:{xa}")
         top = max(weights)
+        if not math.isfinite(top) or any(math.isnan(w) for w in weights):
+            raise InputError(f"non-finite log-weights at {nodes}:{xa}")
         expd = [math.exp(w - top) for w in weights]
         total = sum(expd)
         rows[xa] = tuple(e / total for e in expd)
@@ -232,6 +236,14 @@ def robustness_table(mods: FunctionalModalities) -> list:
             robust = all(abs(a - b) <= ROBUST_TOL for a, b in zip(row, post_rows[project(x)]))
             table.append({"x": list(x), "S": list(knocked_out), "robust": robust})
     return table
+
+
+def check_table_size(d) -> None:
+    """Raise ResourceLimitError if the robustness table on alphabet sizes ``d``,
+    configurations x nonempty knockouts, has more than TABLE_CAP entries."""
+    size = math.prod(d) * (2 ** len(d) - 1)
+    if size > TABLE_CAP:
+        raise ResourceLimitError(f"robustness table of {size} entries exceeds the cap of {TABLE_CAP}")
 
 
 def potential_robustness_criterion(pots: GibbsPotentials, x: Config, knocked_out, tol: float = ROBUST_TOL) -> bool:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .errors import InputError, ResourceLimitError
 from .graph import InputGraph
 from .model import format_fraction
-from .polyengine import Monomial, Polynomial
+from .polyengine import ELIM_VARIABLE, Monomial, Polynomial
 
 
 class Unknown(NamedTuple):
@@ -160,9 +160,6 @@ class GroebnerElement:
     labels: tuple
     polynomial: Polynomial
 
-    def initial_monomial(self) -> Monomial:
-        return self.polynomial.leading_monomial()
-
 
 def groebner_set(
     graph: InputGraph,
@@ -279,7 +276,7 @@ def find_reduction_witness(graph: InputGraph, path, labels):
 # Export formats.
 
 def format_unknown(var) -> str:
-    if var == (float("inf"),):
+    if var == ELIM_VARIABLE:
         return "t"
     row, col = var
     return f"p[{row};{','.join(str(c) for c in col)}]"

@@ -23,12 +23,17 @@ from .errors import InputError, ResourceLimitError
 # Sentinel elimination variable; compares above every (row, column) unknown.
 ELIM_VARIABLE = (float("inf"),)
 
+# Most terms a nonzero S-pair remainder may have before buchberger gives up.
+MAX_TERMS = 10_000
+
 
 class Monomial:
     """Product of variables with positive exponents.
 
     Stored as (variable, exponent) pairs with the largest variable first, so
-    the pure-lex comparison is a single merged scan.
+    the pure-lex order is the tuple order of ``items``: the first differing
+    pair decides, by variable and then by exponent, and a proper prefix is
+    smaller.
     """
 
     __slots__ = ("items",)
@@ -53,38 +58,11 @@ class Monomial:
     def __eq__(self, other):
         return self.items == other.items
 
-    def _cmp(self, other) -> int:
-        a, b = self.items, other.items
-        i = j = 0
-        while i < len(a) and j < len(b):
-            va, ea = a[i]
-            vb, eb = b[j]
-            if va == vb:
-                if ea != eb:
-                    return 1 if ea > eb else -1
-                i += 1
-                j += 1
-            elif va > vb:
-                return 1
-            else:
-                return -1
-        if i < len(a):
-            return 1
-        if j < len(b):
-            return -1
-        return 0
-
     def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
+        return self.items < other.items
 
     def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return self.items > other.items
 
     @property
     def degree(self) -> int:
@@ -137,6 +115,20 @@ class Monomial:
 MONOMIAL_ONE = Monomial(())
 
 
+def _add_scaled(out: dict, coeff, mono: Monomial, terms: dict) -> dict:
+    """Add coeff * mono * terms into the term dict ``out`` in place, dropping cancelled terms."""
+    for m, c in terms.items():
+        if mono.items:
+            m = m * mono
+        s = out.get(m)
+        s = c * coeff if s is None else s + c * coeff
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
 class Polynomial:
     """Map from monomials to nonzero rational coefficients."""
 
@@ -173,24 +165,10 @@ class Polynomial:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return self._wrap(out)
+        return self._wrap(_add_scaled(dict(self.terms), 1, MONOMIAL_ONE, other.terms))
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) - c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return self._wrap(out)
+        return self._wrap(_add_scaled(dict(self.terms), -1, MONOMIAL_ONE, other.terms))
 
     def __neg__(self):
         return self._wrap({m: -c for m, c in self.terms.items()})
@@ -199,18 +177,12 @@ class Polynomial:
         coeff = Fraction(coeff)
         if not coeff:
             return Polynomial()
-        return self._wrap({m * mono: c * coeff for m, c in self.terms.items()})
+        return self._wrap(_add_scaled({}, coeff, mono, self.terms))
 
     def __mul__(self, other):
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+        for m, c in self.terms.items():
+            _add_scaled(out, c, m, other.terms)
         return self._wrap(out)
 
     @staticmethod
@@ -263,19 +235,18 @@ def reduce(f: Polynomial, basis) -> Polynomial:
     f minus the result lies in the ideal generated by the basis.  The division
     scans basis elements in the given order, so the result is deterministic.
     """
-    divisors = [(g.leading_monomial(), g) for g in basis if g]
+    divisors = [(g.leading_monomial(), g.leading_coeff(), g.terms) for g in basis if g]
+    p = dict(f.terms)
     remainder = {}
-    p = f
     while p:
-        lm = p.leading_monomial()
-        lc = p.leading_coeff()
-        for glm, g in divisors:
+        lm = max(p)
+        lc = p[lm]
+        for glm, glc, gterms in divisors:
             if glm.divides(lm):
-                p = p - g.term_mul(lc / g.leading_coeff(), lm / glm)
+                _add_scaled(p, -lc / glc, lm / glm, gterms)
                 break
         else:
-            remainder[lm] = lc
-            p = p - Polynomial._wrap({lm: lc})
+            remainder[lm] = p.pop(lm)
     return Polynomial._wrap(remainder)
 
 
@@ -316,13 +287,14 @@ def interreduce(polys) -> list:
         minimal = reduced
 
 
-def buchberger(gens, *, max_pairs: int = 50_000, max_terms: int = 10_000, trace=None) -> list:
+def buchberger(gens, *, max_pairs: int = 50_000) -> list:
     """The reduced Groebner basis of the ideal generated by ``gens``.
 
     S-pairs are processed lowest lcm degree first with ties broken by the
     monomial order, so runs are reproducible.  Pairs with coprime leading
-    monomials are skipped (their S-polynomials always reduce to zero).  When
-    ``trace`` is a list, every nonzero S-pair remainder is appended to it.
+    monomials are skipped (their S-polynomials always reduce to zero).
+    Raises ResourceLimitError after ``max_pairs`` S-pairs, or when a nonzero
+    S-pair remainder has more than MAX_TERMS terms.
     """
     basis = []
     seen = set()
@@ -355,11 +327,9 @@ def buchberger(gens, *, max_pairs: int = 50_000, max_terms: int = 10_000, trace=
             continue
         r = reduce(s_polynomial(fi, fj), basis)
         if r:
-            if trace is not None:
-                trace.append(r)
-            if r.num_terms() > max_terms:
+            if r.num_terms() > MAX_TERMS:
                 raise ResourceLimitError(
-                    f"polynomial support cap {max_terms} exceeded ({r.num_terms()} terms)"
+                    f"polynomial support cap {MAX_TERMS} exceeded ({r.num_terms()} terms)"
                 )
             basis.append(r.monic())
             push_pairs(len(basis) - 1)
@@ -417,7 +387,7 @@ def is_bihomogeneous(poly: Polynomial) -> bool:
     return len(degrees) <= 1
 
 
-def elimination_intersection(gens_a, gens_b, *, max_pairs: int = 50_000, max_terms: int = 10_000) -> list:
+def elimination_intersection(gens_a, gens_b, *, max_pairs: int = 50_000) -> list:
     """Generators of the intersection of two ideals, via a fresh sentinel variable.
 
     Computes a Groebner basis of t*A + (1-t)*B and keeps the t-free part,
@@ -426,16 +396,16 @@ def elimination_intersection(gens_a, gens_b, *, max_pairs: int = 50_000, max_ter
     t = Polynomial.variable(ELIM_VARIABLE)
     one_minus_t = Polynomial.constant(1) - t
     mixed = [t * f for f in gens_a if f] + [one_minus_t * g for g in gens_b if g]
-    gb = buchberger(mixed, max_pairs=max_pairs, max_terms=max_terms)
+    gb = buchberger(mixed, max_pairs=max_pairs)
     return [g for g in gb if not g.uses_variable(ELIM_VARIABLE)]
 
 
-def intersect_ideals(gens_list, *, max_pairs: int = 50_000, max_terms: int = 10_000) -> list:
+def intersect_ideals(gens_list, *, max_pairs: int = 50_000) -> list:
     """Reduced Groebner basis of the intersection of finitely many ideals."""
     gens_list = list(gens_list)
     if not gens_list:
         raise InputError("need at least one ideal to intersect")
-    acc = buchberger(gens_list[0], max_pairs=max_pairs, max_terms=max_terms)
+    acc = buchberger(gens_list[0], max_pairs=max_pairs)
     for gens in gens_list[1:]:
-        acc = elimination_intersection(acc, gens, max_pairs=max_pairs, max_terms=max_terms)
+        acc = elimination_intersection(acc, gens, max_pairs=max_pairs)
     return acc

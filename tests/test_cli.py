@@ -369,6 +369,26 @@ class TestGibbsCommand:
         assert main(["gibbs", "--modalities", str(mods_path)]) == 2
         assert "kernels must cover every subset" in capsys.readouterr().err
 
+    def test_table_cap_exits_3_before_kernels(self, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("kernels built before the table-size check")
+
+        monkeypatch.setattr("robustci.gibbs.neuron_modalities", no_work)
+        assert main(["gibbs", "--neuron", ",".join(["1"] * 40)]) == 3
+        size = 2 ** 40 * (2 ** 40 - 1)
+        assert capsys.readouterr().err == (
+            f"resource limit: robustness table of {size} entries exceeds the cap of 65280\n"
+        )
+
+    def test_table_cap_on_modalities_file(self, tmp_path, monkeypatch, capsys):
+        from robustci.gibbs import modalities_to_json, uniform_modalities
+
+        mods = uniform_modalities(StateSpace(2, (2, 2)))
+        mods_path = write_json(tmp_path / "mods.json", modalities_to_json(mods))
+        monkeypatch.setattr("robustci.gibbs.TABLE_CAP", 11)
+        assert main(["gibbs", "--modalities", mods_path]) == 3
+        assert "robustness table of 12 entries exceeds the cap of 11" in capsys.readouterr().err
+
     @pytest.mark.parametrize("k", ["-1", "3"])
     def test_k_out_of_range_rejected_before_work(self, monkeypatch, capsys, k):
         def no_work(*args, **kwargs):

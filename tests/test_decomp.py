@@ -21,6 +21,7 @@ from robustci import (
     verify_primary_decomposition,
     verify_union_decomposition,
 )
+from robustci import decomp
 from robustci.decomp import admissible_sets, sample_point_in_VGY
 from robustci.graph import InputGraph
 
@@ -89,14 +90,15 @@ class TestAdmissibility:
                 support = frozenset(verts[i] for i in range(len(verts)) if mask >> i & 1)
                 assert (support in admissible) == is_maximal(components_of(g, support), g)
 
-    def test_admissible_sets_enumeration(self):
+    def test_admissible_sets_enumeration(self, monkeypatch):
         assert admissible_sets(SINGLE_EDGE) == [frozenset({(1,), (2,)})]
         assert admissible_sets(THREE_VERTEX) == [
             frozenset({(1,), (2,)}),
             frozenset({(1,), (2,), (3,)}),
         ]
+        monkeypatch.setattr(decomp, "ADMISSIBLE_CAP", 4)
         with pytest.raises(ResourceLimitError):
-            admissible_sets(cube_graph(), cap=4)
+            admissible_sets(cube_graph())
 
     def test_complete_graph_single_admissible(self):
         triangle = line_graph(3, [(1, 2), (1, 3), (2, 3)])

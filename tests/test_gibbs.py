@@ -11,6 +11,7 @@ from robustci import (
     GibbsPotentials,
     InputError,
     KInteractionDecomposition,
+    ResourceLimitError,
     StateSpace,
     alpha_coefficient,
     check_robust_at,
@@ -24,6 +25,7 @@ from robustci import (
 )
 from robustci.gibbs import (
     _weighted_sum_coefficient,
+    check_table_size,
     is_uniformly_robust_at,
     modalities_from_json,
     modalities_from_potentials,
@@ -173,6 +175,22 @@ class TestGibbsKernel:
         assert all(math.isfinite(p) for row in rows.values() for p in row)
 
 
+    @pytest.mark.parametrize("weights", [(math.inf, 0.0), (-math.inf, -math.inf), (0.0, math.nan)])
+    def test_non_finite_row_maximum_rejected(self, weights):
+        with pytest.raises(InputError, match="non-finite log-weights"):
+            gibbs_kernel(one_input_potentials(weights), (1,))
+
+    def test_minus_infinity_weight_has_probability_zero(self):
+        rows = gibbs_kernel(one_input_potentials((-math.inf, 0.0)), (1,))
+        assert rows == {(1,): (0.0, 1.0), (2,): (0.0, 1.0)}
+
+
+def one_input_potentials(empty_weights):
+    """One binary input: phi_{}() = empty_weights, phi_{1} zero."""
+    space = StateSpace(2, (2,))
+    return GibbsPotentials(space, {(): {(): empty_weights}, (1,): {(1,): (0.0, 0.0), (2,): (0.0, 0.0)}})
+
+
 class TestRobustnessChecks:
     def test_constant_kernels_always_robust(self):
         space = StateSpace(2, (2, 2))
@@ -181,6 +199,12 @@ class TestRobustnessChecks:
             for size in range(0, 3):
                 for knocked in itertools.combinations((1, 2), size):
                     assert check_robust_at(mods, x, knocked)
+
+    def test_table_cap_admits_binary_n8(self):
+        check_table_size((2,) * 8)
+        check_table_size((256,))
+        with pytest.raises(ResourceLimitError, match="261632 entries exceeds the cap of 65280"):
+            check_table_size((2,) * 9)
 
     def test_neuron_partial_sum_differs(self):
         mods = neuron_modalities([1.0, 1.0])

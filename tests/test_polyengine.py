@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from robustci import (
     ResourceLimitError,
     StateSpace,
 )
+from robustci import polyengine
 from robustci.graph import InputGraph
 from robustci.ideal import EdgeBinomial, Unknown, edge_generators, groebner_set
 from robustci.polyengine import (
@@ -173,11 +175,27 @@ class TestBuchberger:
         with pytest.raises(ResourceLimitError):
             buchberger(gens, max_pairs=1)
 
-    def test_trace_remainders_are_binomials(self):
-        g = three_vertex_graph()
+    def test_trace_remainders_are_binomials(self, monkeypatch):
+        # every nonzero remainder of the run, S-pairs and interreduction alike
         trace = []
-        buchberger([b.polynomial() for b in edge_generators(g, 3)], trace=trace)
+
+        def spy(f, basis):
+            r = reduce(f, basis)
+            if r:
+                trace.append(r)
+            return r
+
+        monkeypatch.setattr(polyengine, "reduce", spy)
+        g = three_vertex_graph()
+        buchberger([b.polynomial() for b in edge_generators(g, 3)])
         assert trace and all(p.num_terms() <= 2 for p in trace)
+
+    def test_term_cap(self, monkeypatch):
+        monkeypatch.setattr(polyengine, "MAX_TERMS", 1)
+        g = three_vertex_graph()
+        gens = [b.polynomial() for b in edge_generators(g, 2)]
+        with pytest.raises(ResourceLimitError, match="polynomial support cap 1 exceeded"):
+            buchberger(gens)
 
 
 class TestBuchbergerCriterion:
@@ -267,3 +285,145 @@ class TestInterreduce:
     def test_normalizes_to_monic(self):
         f = minor(1, 2, 1, 2).term_mul(Fraction(-3, 7), Monomial(()))
         assert interreduce([f]) == [f.monic()]
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the merged-scan lex comparison and the division by Polynomial
+# subtraction that the tuple order and the in-place term loop replaced.  The
+# arithmetic oracles work on plain term dicts, so they share no code with
+# Polynomial.
+
+def oracle_cmp(a: Monomial, b: Monomial) -> int:
+    x, y = a.items, b.items
+    i = j = 0
+    while i < len(x) and j < len(y):
+        va, ea = x[i]
+        vb, eb = y[j]
+        if va == vb:
+            if ea != eb:
+                return 1 if ea > eb else -1
+            i += 1
+            j += 1
+        elif va > vb:
+            return 1
+        else:
+            return -1
+    if i < len(x):
+        return 1
+    if j < len(y):
+        return -1
+    return 0
+
+
+def oracle_lead(terms: dict) -> Monomial:
+    return max(terms, key=functools.cmp_to_key(oracle_cmp))
+
+
+def oracle_add(p: dict, q: dict, sign=1) -> dict:
+    out = dict(p)
+    for m, c in q.items():
+        s = out.get(m, Fraction(0)) + sign * c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def oracle_sub(p: dict, q: dict) -> dict:
+    return oracle_add(p, q, -1)
+
+
+def oracle_mul(p: dict, q: dict) -> dict:
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = m1 * m2
+            s = out.get(m, Fraction(0)) + c1 * c2
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return out
+
+
+def oracle_term_mul(terms: dict, coeff, mono: Monomial) -> dict:
+    return {m * mono: c * coeff for m, c in terms.items()}
+
+
+def oracle_reduce(f: dict, basis) -> dict:
+    divisors = [(oracle_lead(g), g) for g in basis if g]
+    remainder = {}
+    p = f
+    while p:
+        lm = oracle_lead(p)
+        lc = p[lm]
+        for glm, g in divisors:
+            if glm.divides(lm):
+                p = oracle_sub(p, oracle_term_mul(g, lc / g[glm], lm / glm))
+                break
+        else:
+            remainder[lm] = lc
+            p = oracle_sub(p, {lm: lc})
+    return remainder
+
+
+ORACLE_VARS = [var(r, c) for r in (1, 2, 3) for c in (1, 2, 3)] + [ELIM_VARIABLE]
+
+
+def random_monomial(rng, max_vars=3, max_exp=3) -> Monomial:
+    picked = rng.sample(ORACLE_VARS, rng.randint(0, max_vars))
+    return Monomial((v, rng.randint(1, max_exp)) for v in picked)
+
+
+def random_terms(rng, max_terms) -> dict:
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        numerator = rng.choice([-7, -3, -2, -1, 1, 2, 5, 9])
+        terms[random_monomial(rng, max_exp=2)] = Fraction(numerator, rng.randint(1, 6))
+    return terms
+
+
+class TestOracles:
+    def test_tuple_order_matches_merged_scan(self):
+        rng = random.Random(11)
+        monos = [random_monomial(rng) for _ in range(300)] + [
+            Monomial(()), mono((ELIM_VARIABLE, 1)), mono((ELIM_VARIABLE, 2)), mono((P11, 1)),
+        ]
+        for a in monos:
+            for b in monos[:60]:
+                c = oracle_cmp(a, b)
+                assert (a < b, a > b, a == b) == (c < 0, c > 0, c == 0)
+        assert sorted(monos) == sorted(monos, key=functools.cmp_to_key(oracle_cmp))
+
+    def test_arithmetic_matches_dict_oracles(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            p, q = random_terms(rng, 5), random_terms(rng, 5)
+            coeff = Fraction(rng.choice([-4, -1, 1, 3]), rng.randint(1, 5))
+            m = random_monomial(rng)
+            pp, qq = Polynomial(p), Polynomial(q)
+            # equal term dicts in equal order: the term loop keeps insertion order
+            assert list((pp + qq).terms.items()) == list(oracle_add(p, q).items())
+            assert list((pp - qq).terms.items()) == list(oracle_sub(p, q).items())
+            assert list((pp * qq).terms.items()) == list(oracle_mul(p, q).items())
+            assert list(pp.term_mul(coeff, m).terms.items()) == list(oracle_term_mul(p, coeff, m).items())
+
+    def test_in_place_division_matches_subtraction(self):
+        rng = random.Random(13)
+        nonzero = 0
+        for _ in range(400):
+            basis = [random_terms(rng, 3) for _ in range(rng.randint(1, 4))]
+            f = random_terms(rng, 6)
+            expected = oracle_reduce(f, basis)
+            got = reduce(Polynomial(f), [Polynomial(g) for g in basis])
+            assert list(got.terms.items()) == list(expected.items())
+            nonzero += bool(expected)
+        assert 0 < nonzero < 400
+
+    def test_division_edge_cases(self):
+        f = {mono((ELIM_VARIABLE, 1), (P11, 1)): Fraction(2, 3), Monomial(()): Fraction(-5, 2)}
+        for basis in ([], [{}], [{Monomial(()): Fraction(7, 3)}], [{mono((ELIM_VARIABLE, 1)): Fraction(-1, 4)}]):
+            got = reduce(Polynomial(f), [Polynomial(g) for g in basis])
+            assert list(got.terms.items()) == list(oracle_reduce(f, basis).items())
+        assert not reduce(Polynomial(), [Polynomial(f)])
