@@ -19,8 +19,9 @@ from .model import (
     JointDistribution,
     RobustnessSpec,
     StateSpace,
+    blocks_proportional,
     format_fraction,
-    vectors_proportional,
+    sort_pair,
 )
 
 
@@ -59,13 +60,10 @@ def check_ci_statement(dist: JointDistribution, nodes, y) -> bool:
     """Whether the columns pinned to y on the node subset are pairwise proportional.
 
     Equivalently, all 2x2 minors p(a,xS,y)p(b,xS',y) - p(a,xS',y)p(b,xS,y)
-    vanish, where S is the complement of the subset.
+    vanish, where S is the complement of the subset.  ``y[k]`` is the letter
+    pinned on ``nodes[k]``, in whatever order the nodes are given.
     """
-    nodes = tuple(sorted(set(nodes)))
-    y = tuple(y)
-    if len(nodes) != len(y):
-        raise InputError(f"partial configuration {y} does not match subset {nodes}")
-    return _first_failing_minor(dist, nodes, y) is None
+    return _first_failing_minor(dist, *sort_pair(nodes, y)) is None
 
 
 def is_robust(dist: JointDistribution, spec: RobustnessSpec) -> bool:
@@ -173,13 +171,7 @@ def membership_in_PB(dist: JointDistribution, structure: RobustnessStructure, gr
     _require_consistent(structure, graph)
     if frozenset(dist.support()) != structure.support:
         return False
-    for block in structure.blocks:
-        cols = [dist.column(x) for x in block]
-        for a in range(len(cols)):
-            for b in range(a + 1, len(cols)):
-                if not vectors_proportional(cols[a], cols[b]):
-                    return False
-    return True
+    return blocks_proportional(dist.column, structure.blocks)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@
 Each admissible support set Y contributes a prime component: the unknowns of
 the columns outside Y vanish, and within each connected component of the
 induced subgraph on Y all 2x2 minors vanish.  Admissibility is the same
-predicate as maximality of the robustness structure on Y.  The module checks
-the decomposition at three levels: pairwise non-containment of the components,
-ideal membership of the edge generators in every component, and (on tiny
-instances) exact equality of the elimination-computed intersection with the
-reduced Groebner basis of the edge ideal.
+predicate as maximality of the robustness structure on Y.  Both verifiers take
+the maximal structures from one enumeration and check the decomposition at
+three levels: pairwise non-containment of the components, ideal membership of
+the edge generators in every component, and (on tiny instances) exact equality
+of the elimination-computed intersection with the reduced Groebner basis of
+the edge ideal.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, ResourceLimitError
-from .graph import InputGraph, components_of, enumerate_maximal_structures
+from .graph import InputGraph, RobustnessStructure, components_of, enumerate_maximal_structures
 from .ideal import EdgeBinomial, Unknown, edge_generators
-from .model import format_fraction, vectors_proportional
+from .model import blocks_proportional, format_fraction, vectors_proportional
 from .polyengine import Polynomial, buchberger, intersect_ideals, reduce
 
 # Vertex caps of the admissible-set enumeration, the union check and leg (c).
@@ -40,57 +41,51 @@ class ComponentIdeal:
         return list(self.monomial_generators) + list(self.binomial_generators)
 
 
-def component_ideal(graph: InputGraph, support, d0: int) -> ComponentIdeal:
-    """Vanishing unknowns off the support plus all minors within each component."""
-    support = frozenset(tuple(x) for x in support)
-    if not support <= set(graph.vertices):
+def component_ideal(structure: RobustnessStructure, d0: int) -> ComponentIdeal:
+    """Vanishing unknowns off the support plus all minors within each block."""
+    support = structure.support
+    configs = structure.space.configs()
+    if not support <= set(configs):
         raise InputError("support is not a subset of the configuration set")
     monomials = []
-    for x in graph.vertices:
+    for x in configs:
         if x in support:
             continue
         for i in range(1, d0 + 1):
             monomials.append(Polynomial.variable(Unknown(i, x)))
     binomials = []
-    for comp in graph.components(support):
-        for a in range(len(comp)):
-            for b in range(a + 1, len(comp)):
+    for block in structure.blocks:
+        for a in range(len(block)):
+            for b in range(a + 1, len(block)):
                 for i in range(1, d0 + 1):
                     for j in range(i + 1, d0 + 1):
                         binomials.append(
-                            EdgeBinomial.make(i, j, comp[a], comp[b]).polynomial()
+                            EdgeBinomial.make(i, j, block[a], block[b]).polynomial()
                         )
     return ComponentIdeal(support, tuple(monomials), tuple(binomials))
 
 
 def admissible_sets(graph: InputGraph) -> list:
-    """All admissible support sets, canonically ordered by sorted vertex list.
+    """The maximal structures, canonically ordered by sorted support.
 
-    Admissibility is maximality of the structure on the support, so these are
-    the supports of the maximal structures.
+    Admissibility of a support is maximality of the structure on it, so the
+    supports of these structures are the admissible sets.
     """
-    return sorted((s.support for s in enumerate_maximal_structures(graph, ADMISSIBLE_CAP)), key=sorted)
+    return sorted(enumerate_maximal_structures(graph, ADMISSIBLE_CAP), key=lambda s: sorted(s.support))
 
 
-def containment(graph: InputGraph, outer, inner) -> bool:
+def containment(outer: RobustnessStructure, inner: RobustnessStructure) -> bool:
     """Whether the component variety of ``outer`` contains that of ``inner``.
 
-    True iff inner is a subset of outer and any two inner vertices connected
-    through outer are already connected through inner.
+    True iff the inner support lies in the outer one and no two inner blocks
+    lie in the same outer block.  Both structures must come from one graph:
+    then each inner block is connected inside the outer support, so it lies
+    in exactly one outer block.
     """
-    outer = frozenset(tuple(x) for x in outer)
-    inner = frozenset(tuple(x) for x in inner)
-    if not inner <= outer:
+    if not inner.support <= outer.support:
         return False
-    comp_outer = components_of(graph, outer).block_index()
-    comp_inner = components_of(graph, inner).block_index()
-    inner_sorted = sorted(inner)
-    for a in range(len(inner_sorted)):
-        for b in range(a + 1, len(inner_sorted)):
-            u, v = inner_sorted[a], inner_sorted[b]
-            if comp_outer[u] == comp_outer[v] and comp_inner[u] != comp_inner[v]:
-                return False
-    return True
+    index = outer.block_index()
+    return len({index[block[0]] for block in inner.blocks}) == len(inner.blocks)
 
 
 @dataclass(frozen=True)
@@ -107,18 +102,13 @@ class MatrixPoint:
         return frozenset(x for x, col in self.columns.items() if any(col))
 
 
-def point_in_VGY(point: MatrixPoint, graph: InputGraph, support) -> bool:
-    """Columns vanish off the support and are proportional within each component."""
-    support = frozenset(tuple(x) for x in support)
-    for x in graph.vertices:
+def point_in_VGY(point: MatrixPoint, structure: RobustnessStructure) -> bool:
+    """Columns vanish off the support and are proportional within each block."""
+    support = structure.support
+    for x in structure.space.configs():
         if x not in support and any(point.column(x)):
             return False
-    for comp in graph.components(support):
-        for a in range(len(comp)):
-            for b in range(a + 1, len(comp)):
-                if not vectors_proportional(point.column(comp[a]), point.column(comp[b])):
-                    return False
-    return True
+    return blocks_proportional(point.column, structure.blocks)
 
 
 def point_in_VG(point: MatrixPoint, graph: InputGraph) -> bool:
@@ -129,18 +119,18 @@ def point_in_VG(point: MatrixPoint, graph: InputGraph) -> bool:
     return True
 
 
-def sample_point_in_VGY(graph: InputGraph, d0: int, support, rng: random.Random) -> MatrixPoint:
+def sample_point_in_VGY(structure: RobustnessStructure, d0: int, rng: random.Random) -> MatrixPoint:
     """A random point of the component variety with support exactly Y.
 
-    Per component one random nonzero direction, per column a random nonzero
+    Per block one random nonzero direction, per column a random nonzero
     scalar; zero columns fill the complement.
     """
     columns = {}
-    for comp in graph.components(support):
+    for block in structure.blocks:
         direction = None
         while direction is None or not any(direction):
             direction = tuple(Fraction(rng.randint(-3, 3)) for _ in range(d0))
-        for x in comp:
+        for x in block:
             scalar = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5))
             columns[x] = tuple(scalar * v for v in direction)
     return MatrixPoint(d0, columns)
@@ -154,8 +144,8 @@ def random_matrix_point(graph: InputGraph, d0: int, rng: random.Random) -> Matri
     return MatrixPoint(d0, columns)
 
 
-def verify_union_decomposition(graph: InputGraph, d0: int, trials: int, seed) -> dict:
-    """Seeded check that the variety is covered by the admissible components.
+def verify_union_decomposition(graph: InputGraph, admissible, d0: int, trials: int, seed) -> dict:
+    """Seeded check that the variety is covered by the components of ``admissible``.
 
     Each trial samples either a structured point (on a random support, built
     proportional per component) or a fully random matrix, then asserts that
@@ -167,18 +157,17 @@ def verify_union_decomposition(graph: InputGraph, d0: int, trials: int, seed) ->
         raise ResourceLimitError(
             f"{len(graph.vertices)} vertices exceed the verification cap of {UNION_CAP}"
         )
-    admissible = admissible_sets(graph)
     counterexamples = []
     for t in range(trials):
         rng = random.Random(f"{seed}:{t}")
         structured = rng.random() < 0.7
         if structured:
             support = frozenset(v for v in graph.vertices if rng.random() < 0.6)
-            point = sample_point_in_VGY(graph, d0, support, rng)
+            point = sample_point_in_VGY(components_of(graph, support), d0, rng)
         else:
             point = random_matrix_point(graph, d0, rng)
         in_variety = point_in_VG(point, graph)
-        covered = any(point_in_VGY(point, graph, y) for y in admissible)
+        covered = any(point_in_VGY(point, y) for y in admissible)
         if in_variety != covered:
             counterexamples.append({
                 "trial": t,
@@ -187,7 +176,7 @@ def verify_union_decomposition(graph: InputGraph, d0: int, trials: int, seed) ->
                 "covered": covered,
                 "columns": _point_json(point, graph),
             })
-        if in_variety and not point_in_VGY(point, graph, point.support()):
+        if in_variety and not point_in_VGY(point, components_of(graph, point.support())):
             counterexamples.append({
                 "trial": t,
                 "kind": "own-support",
@@ -208,10 +197,10 @@ def _point_json(point: MatrixPoint, graph: InputGraph) -> list:
     ]
 
 
-def verify_primary_decomposition(graph: InputGraph, d0: int, *, max_pairs: int = 50_000) -> dict:
-    """Three-legged verification of the decomposition of the edge ideal.
+def verify_primary_decomposition(graph: InputGraph, admissible, d0: int, *, max_pairs: int = 50_000) -> dict:
+    """Three-legged verification of the decomposition indexed by ``admissible``.
 
-    (a) admissible supports are pairwise non-containing;
+    (a) admissible components are pairwise non-containing;
     (b) every edge generator lies in every admissible component ideal;
     (c) on instances with at most INTERSECTION_MAX_VERTICES vertices and
         d0 = 2, the elimination-computed intersection of the component ideals
@@ -221,38 +210,34 @@ def verify_primary_decomposition(graph: InputGraph, d0: int, *, max_pairs: int =
     Every Groebner computation stops with ResourceLimitError after
     ``max_pairs`` S-pairs or beyond polyengine.MAX_TERMS terms.
     """
-    admissible = admissible_sets(graph)
     counterexamples = []
 
     non_containment = True
     for a in admissible:
         for b in admissible:
-            if a != b and containment(graph, a, b):
+            if a != b and containment(a, b):
                 non_containment = False
                 counterexamples.append({
                     "leg": "non_containment",
-                    "outer": [list(x) for x in sorted(a)],
-                    "inner": [list(x) for x in sorted(b)],
+                    "outer": [list(x) for x in sorted(a.support)],
+                    "inner": [list(x) for x in sorted(b.support)],
                 })
 
     edge_gens = [g.polynomial() for g in edge_generators(graph, d0)] if graph.num_edges() else []
     membership = True
     for y in admissible:
-        gens = component_ideal(graph, y, d0).generators()
-        gb = buchberger(gens, max_pairs=max_pairs)
+        gb = buchberger(component_ideal(y, d0).generators(), max_pairs=max_pairs)
         for f in edge_gens:
             if reduce(f, gb):
                 membership = False
                 counterexamples.append({
                     "leg": "membership",
-                    "support": [list(x) for x in sorted(y)],
+                    "support": [list(x) for x in sorted(y.support)],
                 })
                 break
 
     if len(graph.vertices) <= INTERSECTION_MAX_VERTICES and d0 == 2:
-        component_gens = [
-            component_ideal(graph, y, d0).generators() for y in admissible
-        ]
+        component_gens = [component_ideal(y, d0).generators() for y in admissible]
         intersection = intersect_ideals(component_gens, max_pairs=max_pairs)
         target = buchberger(edge_gens, max_pairs=max_pairs)
         intersection_equality = set(intersection) == set(target)
@@ -262,7 +247,7 @@ def verify_primary_decomposition(graph: InputGraph, d0: int, *, max_pairs: int =
         intersection_equality = "skipped"
 
     return {
-        "admissible_Y": [[list(x) for x in sorted(y)] for y in admissible],
+        "admissible_Y": [[list(x) for x in sorted(y.support)] for y in admissible],
         "legs": {
             "non_containment": non_containment,
             "membership": membership,

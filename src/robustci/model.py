@@ -104,16 +104,10 @@ class RobustnessSpec:
     def of(pairs) -> "RobustnessSpec":
         """Normalize and deduplicate an iterable of (R, y) pairs.
 
-        R may be any iterable of node indices; y must be aligned with sorted R.
+        R may be any iterable of distinct node indices; y is aligned with R
+        as written.
         """
-        norm = set()
-        for nodes, y in pairs:
-            nodes = tuple(sorted(set(nodes)))
-            y = tuple(y)
-            if len(y) != len(nodes):
-                raise InputError(f"partial configuration {y} does not match subset {nodes}")
-            norm.add((nodes, y))
-        return RobustnessSpec(frozenset(norm))
+        return RobustnessSpec(frozenset(sort_pair(nodes, y) for nodes, y in pairs))
 
     def sorted_pairs(self) -> list:
         return sorted(self.pairs)
@@ -122,8 +116,22 @@ class RobustnessSpec:
         return len(self.pairs)
 
     def __contains__(self, pair) -> bool:
-        nodes, y = pair
-        return (tuple(sorted(set(nodes))), tuple(y)) in self.pairs
+        return sort_pair(*pair) in self.pairs
+
+
+def sort_pair(nodes, y) -> Pair:
+    """The pair (R, y) with R sorted and each letter of y moved with its node.
+
+    ``y[k]`` is the letter pinned on node ``nodes[k]``.  Raises InputError on a
+    repeated node or when y and R differ in length.
+    """
+    nodes, y = tuple(nodes), tuple(y)
+    if len(y) != len(nodes):
+        raise InputError(f"partial configuration {y} does not match subset {nodes}")
+    if len(set(nodes)) != len(nodes):
+        raise InputError(f"repeated node in subset {nodes}")
+    pinned = sorted(zip(nodes, y))  # distinct nodes, so letters never decide
+    return tuple(i for i, _ in pinned), tuple(v for _, v in pinned)
 
 
 def validate_spec(spec: RobustnessSpec, space: StateSpace) -> None:
@@ -226,6 +234,15 @@ def vectors_proportional(u, v) -> bool:
         for a in range(len(u))
         for b in range(a + 1, len(u))
     )
+
+
+def blocks_proportional(column, blocks) -> bool:
+    """Whether the vectors ``column(x)`` are pairwise proportional within every block."""
+    for block in blocks:
+        cols = [column(x) for x in block]
+        if not all(vectors_proportional(u, v) for u, v in itertools.combinations(cols, 2)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

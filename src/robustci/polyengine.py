@@ -261,30 +261,20 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def interreduce(polys) -> list:
-    """Turn a Groebner basis into the reduced Groebner basis for the order."""
+    """Turn a Groebner basis into the reduced Groebner basis for the order.
+
+    Sorted by leading monomial, an element is dropped when the leading monomial
+    of a kept element divides its own; divisors sort first, so this leaves a
+    minimal basis.  Reducing each kept element by the others moves no leading
+    monomial, so one pass gives the reduced basis.
+    """
     basis = sorted({g.monic() for g in polys if g}, key=lambda p: p.leading_monomial())
-    # drop elements whose leading monomial another element's leading monomial divides
     minimal = []
-    for i, g in enumerate(basis):
+    for g in basis:
         lm = g.leading_monomial()
-        if any(
-            h.leading_monomial().divides(lm)
-            for j, h in enumerate(basis)
-            if j != i and (h.leading_monomial() != lm or j < i)
-        ):
-            continue
-        minimal.append(g)
-    while True:
-        reduced = []
-        for i, g in enumerate(minimal):
-            others = minimal[:i] + minimal[i + 1:]
-            r = reduce(g, others)
-            if r:
-                reduced.append(r.monic())
-        reduced.sort(key=lambda p: p.leading_monomial())
-        if reduced == minimal:
-            return reduced
-        minimal = reduced
+        if not any(h.leading_monomial().divides(lm) for h in minimal):
+            minimal.append(g)
+    return [reduce(g, minimal[:i] + minimal[i + 1:]) for i, g in enumerate(minimal)]
 
 
 def buchberger(gens, *, max_pairs: int = 50_000) -> list:

@@ -36,7 +36,7 @@ from robustci import (
     robustness_report,
     sample_structure_params,
 )
-from robustci.decomp import verify_primary_decomposition, verify_union_decomposition
+from robustci.decomp import admissible_sets, verify_primary_decomposition, verify_union_decomposition
 from robustci.gibbs import (
     gibbs_kernel,
     is_uniformly_robust_at,
@@ -245,7 +245,7 @@ def test_criterion_5_decomposition():
     intersection_ok = True
     for m in (1, 2, 3):
         for graph in all_graphs(m):
-            rep = verify_primary_decomposition(graph, 2)
+            rep = verify_primary_decomposition(graph, admissible_sets(graph), 2)
             if rep["legs"]["intersection_equality"] is not True:
                 intersection_ok = False
             if not (rep["legs"]["non_containment"] and rep["legs"]["membership"]):
@@ -263,7 +263,7 @@ def test_criterion_5_decomposition():
     counterexamples = 0
     trials_total = 0
     for idx, graph in enumerate(union_graphs):
-        rep = verify_union_decomposition(graph, 2, trials=125, seed=1000 + idx)
+        rep = verify_union_decomposition(graph, admissible_sets(graph), 2, trials=125, seed=1000 + idx)
         trials_total += rep["trials"]
         counterexamples += len(rep["counterexamples"])
     elapsed = time.time() - start

@@ -76,6 +76,21 @@ class TestCheckCiStatement:
         for y in space.configs():
             assert check_ci_statement(dist, (1, 2), y)
 
+    def test_letters_follow_their_nodes(self):
+        # the columns at x=(1,2,1) and (1,2,2) are not proportional; all others are
+        space = StateSpace(2, (2, 2, 2))
+        table = {(x0, x): Fraction(1, 18) for x in space.configs() for x0 in (1, 2)}
+        table[(2, (1, 2, 1))] = Fraction(3, 18)
+        dist = JointDistribution(space, table)
+        assert dist.total() == 1
+        # x1=1, x2=2 written in either order
+        assert not check_ci_statement(dist, (1, 2), (1, 2))
+        assert not check_ci_statement(dist, (2, 1), (2, 1))
+        # x2=1, x1=2 pins two proportional columns
+        assert check_ci_statement(dist, (2, 1), (1, 2))
+        with pytest.raises(InputError):
+            check_ci_statement(dist, (1, 1), (1, 2))
+
 
 class TestIsRobust:
     def test_product_table_robust_for_every_spec(self):

@@ -13,6 +13,7 @@ from robustci import (
     components_of,
     make_uniform_spec,
 )
+from robustci import decomp
 from robustci.cli import main
 from robustci.model import distribution_to_json, model_to_json
 from fractions import Fraction
@@ -51,6 +52,13 @@ class TestGraphCommand:
         out = tmp_path / "never.json"
         assert main(["graph", "--model", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_seed_is_not_an_option(self, tmp_path, capsys):
+        model_path, _ = cube_model(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["graph", "--model", model_path, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_byte_identical_across_runs(self, tmp_path):
         model_path, _ = cube_model(tmp_path)
@@ -284,6 +292,21 @@ class TestDecomposeCommand:
         ]) == 0
         obj = json.loads(out.read_text())
         assert obj["admissible_Y"] == [[[1, 1], [1, 2], [2, 1], [2, 2]]]
+
+    def test_one_enumeration_per_job(self, tmp_path, monkeypatch):
+        calls = []
+        enumerate_structures = decomp.admissible_sets
+
+        def counting(graph):
+            calls.append(graph)
+            return enumerate_structures(graph)
+
+        monkeypatch.setattr(decomp, "admissible_sets", counting)
+        model_path, _ = cube_model(tmp_path)
+        out = tmp_path / "report.json"
+        assert main(["decompose", "--model", model_path, "--trials", "5", "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert len(json.loads(out.read_text())["admissible_Y"]) == len(enumerate_structures(calls[0]))
 
     def test_negative_trials_exit_2(self, tmp_path, capsys):
         model_path, _ = cube_model(tmp_path)

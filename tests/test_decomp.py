@@ -6,8 +6,10 @@ import pytest
 
 from robustci import (
     JointDistribution,
+    InputError,
     MatrixPoint,
     ResourceLimitError,
+    RobustnessStructure,
     StateSpace,
     build_graph,
     component_ideal,
@@ -40,19 +42,32 @@ def cube_graph():
     return build_graph(make_uniform_spec(2, space), space)
 
 
+def subsets(vertices):
+    m = len(vertices)
+    for mask in range(1 << m):
+        yield frozenset(vertices[i] for i in range(m) if mask >> i & 1)
+
+
+def all_graphs(m):
+    """Every graph on the vertices (1,), ..., (m,)."""
+    pairs = list(itertools.combinations(range(1, m + 1), 2))
+    for mask in range(1 << len(pairs)):
+        yield line_graph(m, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
 def frac_matrix(d0, cols):
     return MatrixPoint(d0, {x: tuple(Fraction(v) for v in col) for x, col in cols.items()})
 
 
 class TestComponentIdeal:
     def test_full_support_connected(self):
-        ideal = component_ideal(THREE_VERTEX, THREE_VERTEX.vertices, 2)
+        ideal = component_ideal(components_of(THREE_VERTEX, THREE_VERTEX.vertices), 2)
         assert not ideal.monomial_generators
         # one connected component of three vertices: all three pairwise minors
         assert len(ideal.binomial_generators) == 3
 
     def test_empty_support_all_monomials(self):
-        ideal = component_ideal(THREE_VERTEX, (), 2)
+        ideal = component_ideal(components_of(THREE_VERTEX, ()), 2)
         assert len(ideal.monomial_generators) == 6
         assert not ideal.binomial_generators
 
@@ -60,11 +75,16 @@ class TestComponentIdeal:
         g = cube_graph()
         even = [x for x in g.vertices if sum(x) % 2 == 0]
         support = [x for x in g.vertices if x not in even]
-        ideal = component_ideal(g, support, 2)
+        ideal = component_ideal(components_of(g, support), 2)
         # four removed vertices, two unknowns each; remaining parity class is
         # edgeless, so its components are singletons and there are no minors
         assert len(ideal.monomial_generators) == 8
         assert not ideal.binomial_generators
+
+    def test_configuration_outside_the_space(self):
+        stray = RobustnessStructure.from_blocks(THREE_VERTEX.space, [[(1,)], [(4,)]])
+        with pytest.raises(InputError):
+            component_ideal(stray, 2)
 
 
 class TestAdmissibility:
@@ -85,16 +105,16 @@ class TestAdmissibility:
     def test_matches_structure_maximality(self):
         for g in (SINGLE_EDGE, THREE_VERTEX, cube_graph()):
             verts = g.vertices
-            admissible = admissible_sets(g)
+            admissible = {s.support for s in admissible_sets(g)}
             for mask in range(1 << len(verts)):
                 support = frozenset(verts[i] for i in range(len(verts)) if mask >> i & 1)
                 assert (support in admissible) == is_maximal(components_of(g, support), g)
 
     def test_admissible_sets_enumeration(self, monkeypatch):
-        assert admissible_sets(SINGLE_EDGE) == [frozenset({(1,), (2,)})]
-        assert admissible_sets(THREE_VERTEX) == [
-            frozenset({(1,), (2,)}),
-            frozenset({(1,), (2,), (3,)}),
+        assert admissible_sets(SINGLE_EDGE) == [components_of(SINGLE_EDGE, [(1,), (2,)])]
+        assert [s.blocks for s in admissible_sets(THREE_VERTEX)] == [
+            (((1,),), ((2,),)),
+            (((1,), (2,), (3,)),),
         ]
         monkeypatch.setattr(decomp, "ADMISSIBLE_CAP", 4)
         with pytest.raises(ResourceLimitError):
@@ -102,25 +122,25 @@ class TestAdmissibility:
 
     def test_complete_graph_single_admissible(self):
         triangle = line_graph(3, [(1, 2), (1, 3), (2, 3)])
-        assert admissible_sets(triangle) == [frozenset(triangle.vertices)]
+        assert admissible_sets(triangle) == [components_of(triangle, triangle.vertices)]
 
 
 class TestContainment:
     def test_reflexive(self):
         g = cube_graph()
-        support = frozenset(g.vertices)
-        assert containment(g, support, support)
+        full = components_of(g, g.vertices)
+        assert containment(full, full)
 
     def test_non_subset(self):
         g = cube_graph()
-        assert not containment(g, [(1, 1, 1)], [(2, 2, 2)])
+        assert not containment(components_of(g, [(1, 1, 1)]), components_of(g, [(2, 2, 2)]))
 
     def test_connectivity_condition(self):
         g = cube_graph()
         everything = g.vertices
         parity = [x for x in g.vertices if sum(x) % 2 == 0]
         # connected through the full cube but isolated inside the parity class
-        assert not containment(g, everything, parity)
+        assert not containment(components_of(g, everything), components_of(g, parity))
 
     def test_deterministic_variety_witness(self):
         """containment false => an explicit component-variety point escapes."""
@@ -130,22 +150,45 @@ class TestContainment:
             outer = frozenset(verts[i] for i in range(len(verts)) if mask_y >> i & 1)
             for mask_z in range(1 << len(verts)):
                 inner = frozenset(verts[i] for i in range(len(verts)) if mask_z >> i & 1)
-                holds = containment(g, outer, inner)
+                outer_s, inner_s = components_of(g, outer), components_of(g, inner)
+                holds = containment(outer_s, inner_s)
                 if holds:
                     # every sampled point of the inner variety lies in the outer one
                     for s in range(20):
-                        point = sample_point_in_VGY(g, 2, inner, random.Random(s))
-                        assert point_in_VGY(point, g, outer)
+                        point = sample_point_in_VGY(inner_s, 2, random.Random(s))
+                        assert point_in_VGY(point, outer_s)
                 else:
                     point = _escaping_point(g, outer, inner)
-                    assert point_in_VGY(point, g, inner)
-                    assert not point_in_VGY(point, g, outer)
+                    assert point_in_VGY(point, inner_s)
+                    assert not point_in_VGY(point, outer_s)
 
     def test_admissible_pairwise_non_containment(self):
         for g in (SINGLE_EDGE, THREE_VERTEX, cube_graph()):
-            supports = admissible_sets(g)
-            for a, b in itertools.permutations(supports, 2):
-                assert not containment(g, a, b)
+            for a, b in itertools.permutations(admissible_sets(g), 2):
+                assert not containment(a, b)
+
+    def test_block_test_matches_pairwise_oracle(self):
+        compared = 0
+        for m in range(1, 5):
+            for g in all_graphs(m):
+                for outer in subsets(g.vertices):
+                    for inner in subsets(g.vertices):
+                        expected = _pairwise_containment(g, outer, inner)
+                        assert containment(components_of(g, outer), components_of(g, inner)) == expected
+                        compared += 1
+        assert compared == 1 * 4 + 2 * 16 + 8 * 64 + 64 * 256
+
+
+def _pairwise_containment(graph, outer, inner):
+    """Containment by scanning every inner pair, the test the block test replaced."""
+    if not inner <= outer:
+        return False
+    comp_outer = components_of(graph, outer).block_index()
+    comp_inner = components_of(graph, inner).block_index()
+    for u, v in itertools.combinations(sorted(inner), 2):
+        if comp_outer[u] == comp_outer[v] and comp_inner[u] != comp_inner[v]:
+            return False
+    return True
 
 
 def _escaping_point(graph, outer, inner):
@@ -178,7 +221,7 @@ class TestVarietyMembership:
         zero = frac_matrix(2, {x: (0, 0) for x in g.vertices})
         for mask in range(1 << 3):
             support = frozenset(g.vertices[i] for i in range(3) if mask >> i & 1)
-            assert point_in_VGY(zero, g, support)
+            assert point_in_VGY(zero, components_of(g, support))
 
     def test_rank_one_matrix_in_variety(self):
         g = cube_graph()
@@ -190,8 +233,9 @@ class TestVarietyMembership:
         rng = random.Random(3)
         for mask in range(1 << 3):
             support = frozenset(g.vertices[i] for i in range(3) if mask >> i & 1)
-            point = sample_point_in_VGY(g, 2, support, rng)
-            assert point_in_VGY(point, g, support)
+            structure = components_of(g, support)
+            point = sample_point_in_VGY(structure, 2, rng)
+            assert point_in_VGY(point, structure)
             assert point_in_VG(point, g)
             assert point.support() == support
 
@@ -199,7 +243,7 @@ class TestVarietyMembership:
         g = SINGLE_EDGE
         point = frac_matrix(2, {(1,): (1, 0), (2,): (0, 1)})
         assert not point_in_VG(point, g)
-        assert not point_in_VGY(point, g, g.vertices)
+        assert not point_in_VGY(point, components_of(g, g.vertices))
 
 
 class TestUnionDecomposition:
@@ -207,27 +251,27 @@ class TestUnionDecomposition:
         space = StateSpace(2, (2, 2))
         g = build_graph(make_uniform_spec(2, space), space)  # edgeless
         assert g.num_edges() == 0
-        report = verify_union_decomposition(g, 2, trials=50, seed=1)
+        report = verify_union_decomposition(g, admissible_sets(g), 2, trials=50, seed=1)
         assert report["ok"] and report["admissible_count"] == 1
 
     def test_single_edge(self):
-        report = verify_union_decomposition(SINGLE_EDGE, 2, trials=100, seed=0)
+        report = verify_union_decomposition(SINGLE_EDGE, admissible_sets(SINGLE_EDGE), 2, trials=100, seed=0)
         assert report["ok"]
 
     def test_three_vertex(self):
-        report = verify_union_decomposition(THREE_VERTEX, 2, trials=100, seed=0)
+        report = verify_union_decomposition(THREE_VERTEX, admissible_sets(THREE_VERTEX), 2, trials=100, seed=0)
         assert report["ok"]
 
     def test_cap(self):
         space = StateSpace(2, (2, 2, 2, 2))
         g = build_graph(make_uniform_spec(2, space), space)
         with pytest.raises(ResourceLimitError):
-            verify_union_decomposition(g, 2, trials=1, seed=0)
+            verify_union_decomposition(g, admissible_sets(g), 2, trials=1, seed=0)
 
 
 class TestPrimaryDecomposition:
     def test_single_edge_full_report(self):
-        report = verify_primary_decomposition(SINGLE_EDGE, 2)
+        report = verify_primary_decomposition(SINGLE_EDGE, admissible_sets(SINGLE_EDGE), 2)
         assert report["admissible_Y"] == [[[1], [2]]]
         assert report["legs"] == {
             "non_containment": True,
@@ -237,22 +281,48 @@ class TestPrimaryDecomposition:
         assert report["counterexamples"] == []
 
     def test_three_vertex_example(self):
-        report = verify_primary_decomposition(THREE_VERTEX, 2)
+        report = verify_primary_decomposition(THREE_VERTEX, admissible_sets(THREE_VERTEX), 2)
         assert report["admissible_Y"] == [[[1], [2]], [[1], [2], [3]]]
         assert all(v is True for v in report["legs"].values())
 
     def test_complete_graph(self):
         triangle = line_graph(3, [(1, 2), (1, 3), (2, 3)])
-        report = verify_primary_decomposition(triangle, 2)
+        report = verify_primary_decomposition(triangle, admissible_sets(triangle), 2)
         assert report["admissible_Y"] == [[[1], [2], [3]]]
         assert all(v is True for v in report["legs"].values())
 
     def test_intersection_skipped_beyond_cap(self):
         g = cube_graph()
-        report = verify_primary_decomposition(g, 2)
+        report = verify_primary_decomposition(g, admissible_sets(g), 2)
         assert report["legs"]["intersection_equality"] == "skipped"
         assert report["legs"]["non_containment"] is True
         assert report["legs"]["membership"] is True
+
+
+class TestWrongDecomposition:
+    """The verifiers check the list they are given, so a wrong one fails."""
+
+    def test_dropped_structure_leaves_points_uncovered(self):
+        g = THREE_VERTEX
+        dropped = admissible_sets(g)[:-1]  # without the full support
+        report = verify_union_decomposition(g, dropped, 2, trials=100, seed=0)
+        cover = [c for c in report["counterexamples"] if c["kind"] == "cover"]
+        assert cover and all(c["in_variety"] and not c["covered"] for c in cover)
+        assert not report["ok"]
+
+    def test_extra_non_maximal_structure_is_contained(self):
+        g = THREE_VERTEX
+        extra = admissible_sets(g) + [components_of(g, [(1,)])]
+        report = verify_primary_decomposition(g, extra, 2)
+        assert report["legs"]["non_containment"] is False
+        assert {"leg": "non_containment", "outer": [[1], [2]], "inner": [[1]]} in report["counterexamples"]
+
+    def test_blocks_splitting_an_edge_miss_the_edge_generators(self):
+        g = SINGLE_EDGE
+        split = [RobustnessStructure.from_blocks(g.space, [[(1,)], [(2,)]])]
+        report = verify_primary_decomposition(g, split, 2)
+        assert report["legs"]["membership"] is False
+        assert {"leg": "membership", "support": [[1], [2]]} in report["counterexamples"]
 
 
 class TestVarietyRobustnessBridge:

@@ -9,10 +9,12 @@ from robustci import (
     JointDistribution,
     RobustnessSpec,
     StateSpace,
+    build_graph,
     make_uniform_spec,
     restrict,
     validate_distribution,
 )
+from robustci.graph import graph_to_json
 from robustci.model import (
     distribution_from_json,
     distribution_to_json,
@@ -108,6 +110,34 @@ class TestUniformSpec:
     def test_duplicate_pairs_collapse(self):
         spec = RobustnessSpec.of([((1,), (2,)), ((1,), (2,)), ((), ())])
         assert len(spec) == 2
+
+
+class TestSpecPairs:
+    def test_letters_move_with_their_nodes(self):
+        spec = RobustnessSpec.of([((3, 1), (1, 2))])
+        assert spec.pairs == frozenset({((1, 3), (2, 1))})
+        assert ((3, 1), (1, 2)) in spec and ((1, 3), (2, 1)) in spec
+        assert ((1, 3), (1, 2)) not in spec
+
+    @pytest.mark.parametrize("nodes, y", [((1, 1), (1, 2)), ((1, 2), (1,)), ((1,), (1, 2))])
+    def test_repeated_node_or_length_mismatch(self, nodes, y):
+        with pytest.raises(InputError):
+            RobustnessSpec.of([(nodes, y)])
+        with pytest.raises(InputError):
+            (nodes, y) in RobustnessSpec.of([])
+
+    def test_model_file_pairs_as_written(self):
+        space = StateSpace(2, (2, 3, 2))
+
+        def graph_json(nodes, y):
+            obj = {"d0": 2, "d": [2, 3, 2], "spec": {"pairs": [{"R": nodes, "y": y}]}}
+            _, spec = model_from_json(obj)
+            return graph_to_json(build_graph(spec, space))
+
+        unsorted = graph_json([3, 1], [1, 2])
+        assert unsorted == graph_json([1, 3], [2, 1])
+        assert unsorted != graph_json([1, 3], [1, 2])
+        assert unsorted["edges"][0]["witness"] == {"R": [1, 3], "y": [2, 1]}
 
 
 class TestValidateDistribution:

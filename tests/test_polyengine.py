@@ -288,8 +288,9 @@ class TestInterreduce:
 
 
 # ---------------------------------------------------------------------------
-# Oracles: the merged-scan lex comparison and the division by Polynomial
-# subtraction that the tuple order and the in-place term loop replaced.  The
+# Oracles: the merged-scan lex comparison, the division by Polynomial
+# subtraction and the fixpoint interreduction that the tuple order, the
+# in-place term loop and the one-pass interreduction replaced.  The
 # arithmetic oracles work on plain term dicts, so they share no code with
 # Polynomial.
 
@@ -368,6 +369,31 @@ def oracle_reduce(f: dict, basis) -> dict:
     return remainder
 
 
+def oracle_interreduce(polys) -> list:
+    """Interreduction by an all-pairs divisibility test and passes to a fixpoint."""
+    basis = sorted({g.monic() for g in polys if g}, key=lambda p: p.leading_monomial())
+    minimal = []
+    for i, g in enumerate(basis):
+        lm = g.leading_monomial()
+        if any(
+            h.leading_monomial().divides(lm)
+            for j, h in enumerate(basis)
+            if j != i and (h.leading_monomial() != lm or j < i)
+        ):
+            continue
+        minimal.append(g)
+    while True:
+        reduced = []
+        for i, g in enumerate(minimal):
+            r = reduce(g, minimal[:i] + minimal[i + 1:])
+            if r:
+                reduced.append(r.monic())
+        reduced.sort(key=lambda p: p.leading_monomial())
+        if reduced == minimal:
+            return reduced
+        minimal = reduced
+
+
 ORACLE_VARS = [var(r, c) for r in (1, 2, 3) for c in (1, 2, 3)] + [ELIM_VARIABLE]
 
 
@@ -420,6 +446,29 @@ class TestOracles:
             assert list(got.terms.items()) == list(expected.items())
             nonzero += bool(expected)
         assert 0 < nonzero < 400
+
+    def test_one_pass_interreduce_matches_fixpoint(self):
+        rng = random.Random(14)
+        shrunk = rewritten = 0
+        for _ in range(150):
+            polys = [Polynomial(random_terms(rng, 4)) for _ in range(rng.randint(1, 6))]
+            if rng.random() < 0.4:
+                # an equal leading monomial with a different tail
+                lm = polys[0].leading_monomial()
+                polys.append(Polynomial({lm: Fraction(2), Monomial(()): Fraction(rng.randint(1, 3))}))
+            if rng.random() < 0.3:
+                polys.append(polys[0].term_mul(Fraction(-3, 2), Monomial(())))  # duplicate after monic
+            if rng.random() < 0.1:
+                polys.append(Polynomial.constant(rng.randint(1, 4)))
+            polys.append(Polynomial())
+            rng.shuffle(polys)
+            got = interreduce(polys)
+            expected = oracle_interreduce(polys)
+            assert [p.sorted_terms() for p in got] == [p.sorted_terms() for p in expected]
+            inputs = {p.monic() for p in polys if p}
+            shrunk += len(got) < len(inputs)
+            rewritten += any(g not in inputs for g in got)
+        assert shrunk > 0 and rewritten > 0
 
     def test_division_edge_cases(self):
         f = {mono((ELIM_VARIABLE, 1), (P11, 1)): Fraction(2, 3), Monomial(()): Fraction(-5, 2)}
