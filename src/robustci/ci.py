@@ -21,7 +21,7 @@ from .model import (
     StateSpace,
     blocks_proportional,
     format_fraction,
-    sort_pair,
+    validate_spec,
 )
 
 
@@ -61,9 +61,13 @@ def check_ci_statement(dist: JointDistribution, nodes, y) -> bool:
 
     Equivalently, all 2x2 minors p(a,xS,y)p(b,xS',y) - p(a,xS',y)p(b,xS,y)
     vanish, where S is the complement of the subset.  ``y[k]`` is the letter
-    pinned on ``nodes[k]``, in whatever order the nodes are given.
+    pinned on ``nodes[k]``, in whatever order the nodes are given.  Raises
+    InputError unless the pair fits the distribution's space.
     """
-    return _first_failing_minor(dist, *sort_pair(nodes, y)) is None
+    statement = RobustnessSpec.of([(nodes, y)])
+    validate_spec(statement, dist.space)
+    (pair,) = statement.pairs
+    return _first_failing_minor(dist, *pair) is None
 
 
 def is_robust(dist: JointDistribution, spec: RobustnessSpec) -> bool:

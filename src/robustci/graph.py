@@ -244,8 +244,45 @@ def _non_merging_vertex(mask: int, comps, nbr_masks) -> int:
     return 0
 
 
+def _cut_off(inside: int, out: int, undecided: int, comps, nbr_masks) -> bool:
+    """Whether some vertex of ``out`` has c + e < 2, the cut of
+    :func:`enumerate_maximal_structures`; ``comps`` holds the components of
+    ``inside`` as (vertex mask, neighbourhood mask) pairs."""
+    while out:
+        bit = out & -out
+        out ^= bit
+        nb = nbr_masks[bit.bit_length() - 1]
+        free = nb & undecided
+        seen = nb & inside
+        if not seen:
+            if not free & (free - 1):  # c = 0 and e < 2
+                return True
+            continue
+        for comp, reach in comps:
+            if seen & comp:
+                break
+        if seen & ~comp:
+            continue  # c >= 2
+        if not free & ~reach:  # c = 1 and e = 0
+            return True
+    return False
+
+
 def enumerate_maximal_structures(graph: InputGraph, cap: int = 20) -> list:
-    """All maximal robustness structures, by exhaustive subset enumeration.
+    """All maximal robustness structures, by a pruned depth-first search.
+
+    The search decides the vertices in canonical order, each in or out of the
+    support, keeping the masks I (in), X (out) and U (undecided) and the
+    components of G[I] with their neighbourhoods.  A branch is cut when some
+    v in X touches c components of G[I] and has e undecided neighbours
+    adjacent to none of them with c + e < 2.  The cut is sound: every final
+    support S contains I, so the components of G[I] can only merge, and any
+    other component of G[S] touching v holds an undecided neighbour of v
+    counted in e; so v touches at most c + e components of G[S] and cannot
+    merge two of them.  Each leaf is accepted only when
+    :func:`_non_merging_vertex` finds no vertex that fails to merge, so the
+    cut need only be sound.  The stack is explicit, so ``cap`` may exceed the
+    recursion limit.
 
     The result is deduplicated and canonically ordered; it is exactly the
     index set of the primary decomposition of the associated edge ideal.
@@ -256,11 +293,34 @@ def enumerate_maximal_structures(graph: InputGraph, cap: int = 20) -> list:
         raise ResourceLimitError(
             f"{m} vertices exceed the enumeration cap of {cap} (2^{m} subsets)"
         )
+    masks = graph._masks
+    full = (1 << m) - 1
     found = []
-    for mask in range(1, 1 << m):
-        comps = _mask_components(mask, graph._masks)
-        if not _non_merging_vertex(mask, comps, graph._masks):
-            found.append(_structure(graph, comps))
+    # (next vertex, I, X, components of G[I] as (mask, neighbourhood) pairs)
+    stack = [(0, 0, 0, ())]
+    while stack:
+        i, inside, out, comps = stack.pop()
+        if i == m:
+            blocks = _mask_components(inside, masks)
+            if not _non_merging_vertex(inside, blocks, masks):
+                found.append(_structure(graph, blocks))
+            continue
+        bit = 1 << i
+        undecided = full & ~((bit << 1) - 1)
+        if not _cut_off(inside, out | bit, undecided, comps, masks):
+            stack.append((i + 1, inside, out | bit, comps))
+        nb = masks[i]
+        merged, reach = bit, nb
+        joined = []
+        for comp, comp_reach in comps:
+            if nb & comp:
+                merged |= comp
+                reach |= comp_reach
+            else:
+                joined.append((comp, comp_reach))
+        joined.append((merged, reach))
+        if not _cut_off(inside | bit, out, undecided, joined, masks):
+            stack.append((i + 1, inside | bit, out, tuple(joined)))
     found.sort(key=lambda s: s.blocks)
     return found
 

@@ -485,7 +485,9 @@ def test_criterion_9c_binary_connectivity():
     k=0 the range s <= n - 2k would include s = n, where the only maximal
     structure is the single block holding all 2^n configurations, which no
     edgeless graph connects.  That boundary fact is asserted on its own; for
-    every k >= 1 the two ranges coincide.
+    every k >= 1 the two ranges coincide.  n <= 4 is enumerated exhaustively;
+    n = 5 is enumerated exhaustively for k <= 2 (beyond, the s-range is
+    empty) and sampled from 60 seeded starts for every k.
     """
     violations = []
 
@@ -527,6 +529,18 @@ def test_criterion_9c_binary_connectivity():
             start = [v for v in graph.vertices if rng.random() < density]
             structures.add(grow_to_maximal(graph, start))
         check(n, k, structures, graphs_s)
+        if k > 2:
+            continue  # min(n - 2k, n - 1) < 1: the s-range is empty
+        # every maximal structure, where 2^32 subsets rule out brute force; the
+        # sampled structures are an independent spot check of completeness
+        enumerated = enumerate_maximal_structures(graph, cap=32)
+        check(n, k, enumerated, graphs_s)
+        for structure in enumerated:
+            if not maximality_by_edges(structure, graph):
+                violations.append((n, k, "not maximal", structure.blocks))
+        missed = structures - set(enumerated)
+        if missed:
+            violations.append((n, k, "sample not enumerated", sorted(s.blocks for s in missed)[:1]))
 
     report(
         "9c (binary connectivity)",

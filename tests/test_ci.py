@@ -91,6 +91,23 @@ class TestCheckCiStatement:
         with pytest.raises(InputError):
             check_ci_statement(dist, (1, 1), (1, 2))
 
+    def test_node_zero_rejected(self):
+        # node 0 would otherwise pin the last coordinate through index -1
+        dist = JointDistribution.uniform(StateSpace(2, (2, 2)))
+        with pytest.raises(InputError, match="not within"):
+            check_ci_statement(dist, (0,), (1,))
+
+    def test_node_past_the_last_rejected(self):
+        dist = JointDistribution.uniform(StateSpace(2, (2, 2)))
+        with pytest.raises(InputError, match="not within"):
+            check_ci_statement(dist, (3,), (1,))
+
+    def test_letter_out_of_range_rejected(self):
+        # letter 5 on a binary node pins only zero columns, which are proportional
+        dist = JointDistribution.uniform(StateSpace(2, (2, 2)))
+        with pytest.raises(InputError, match="out of range"):
+            check_ci_statement(dist, (1,), (5,))
+
 
 class TestIsRobust:
     def test_product_table_robust_for_every_spec(self):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 from math import comb
 
 import pytest
@@ -23,6 +24,9 @@ from robustci import (
     restrict,
 )
 from robustci.graph import (
+    _mask_components,
+    _non_merging_vertex,
+    _structure,
     cube_complement_category,
     graph_from_json,
     graph_to_json,
@@ -69,6 +73,34 @@ def brute_force_maximal_supports(vertices, adjacent):
         if all(len(comps(sub + [x])) < base for x in vertices if x not in sub):
             maximal.append(frozenset(sub))
     return maximal
+
+
+def subset_scan_structures(graph):
+    """Oracle: test all 2^m vertex subsets with the maximality kernel.
+
+    This is the exhaustive scan that the pruned search in
+    ``enumerate_maximal_structures`` replaces.
+    """
+    m = len(graph.vertices)
+    found = []
+    for mask in range(1, 1 << m):
+        comps = _mask_components(mask, graph._masks)
+        if not _non_merging_vertex(mask, comps, graph._masks):
+            found.append(_structure(graph, comps))
+    found.sort(key=lambda s: s.blocks)
+    return found
+
+
+# every uniform space of at most 16 configurations built elsewhere in the suite
+UNIFORM_SHAPES = [
+    (2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (2, 3, 2), (2, 2, 2, 2),
+]
+
+
+def random_graph(rng, m, density):
+    space = StateSpace(2, (m,))
+    edges = [(u, v) for u, v in itertools.combinations(space.configs(), 2) if rng.random() < density]
+    return InputGraph(space, edges)
 
 
 def pairwise_scan_graph(spec, space):
@@ -280,6 +312,39 @@ class TestEnumeration:
         g = cube_graph()
         with pytest.raises(ResourceLimitError):
             enumerate_maximal_structures(g, cap=7)
+
+    @pytest.mark.parametrize("d", UNIFORM_SHAPES)
+    def test_uniform_specs_against_subset_scan(self, d):
+        space = StateSpace(2, d)
+        for k in range(space.n + 1):
+            g = build_graph(make_uniform_spec(k, space), space)
+            assert enumerate_maximal_structures(g) == subset_scan_structures(g)
+
+    def test_seeded_random_graphs_against_subset_scan(self):
+        rng = random.Random("pruned-search")
+        graphs = [random_graph(rng, m, density) for m in (1, 7, 14) for density in (0.0, 1.0)]
+        while len(graphs) < 210:
+            graphs.append(random_graph(rng, rng.randint(1, 14), rng.random()))
+        for g in graphs:
+            assert enumerate_maximal_structures(g) == subset_scan_structures(g)
+
+    def test_twenty_vertices_against_subset_scan(self):
+        space = StateSpace(2, (4, 5))
+        g = build_graph(make_uniform_spec(1, space), space)
+        structures = enumerate_maximal_structures(g)
+        assert len(structures) == 1351
+        assert structures == subset_scan_structures(g)
+
+    def test_large_edgeless_space_runs_without_recursion(self):
+        space = StateSpace(2, (10, 110))
+        g = build_graph(RobustnessSpec.of([((1, 2), y) for y in space.configs()]), space)
+        assert g.num_edges() == 0
+        start = time.perf_counter()
+        structures = enumerate_maximal_structures(g, cap=space.num_configs())
+        elapsed = time.perf_counter() - start
+        assert structures == [components_of(g, g.vertices)]
+        assert structures[0].num_blocks() == 1100
+        assert elapsed < 1.0
 
     def test_cube_complement_taxonomy(self):
         g = cube_graph()
