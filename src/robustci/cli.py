@@ -88,13 +88,12 @@ def cmd_graph(args) -> int:
 
 def cmd_structures(args) -> int:
     space, spec = _load_model(args.model)
+    m, all_cap = space.num_configs(), min(12, args.cap_vertices)
+    if args.all and m > all_cap:
+        raise ResourceLimitError(f"{m} vertices exceed the all-structures cap of {all_cap}")
+    graphmod.check_enumeration_cap(m, args.cap_vertices)
     g = graphmod.build_graph(spec, space)
     if args.all:
-        cap = min(12, args.cap_vertices)
-        if len(g.vertices) > cap:
-            raise ResourceLimitError(
-                f"{len(g.vertices)} vertices exceed the all-structures cap of {cap}"
-            )
         structures = sorted(
             (
                 graphmod.components_of(g, support)
@@ -139,11 +138,13 @@ def cmd_check(args) -> int:
 def cmd_groebner(args) -> int:
     if args.model:
         space, spec = _load_model(args.model)
-        g = graphmod.build_graph(spec, space)
     else:
         g = graphmod.graph_from_json(model.read_json(args.graph))
         space = g.space
     d0 = args.d0 if args.d0 is not None else space.d0
+    ideal.check_basis_size(space.num_configs(), d0, args.cap_vertices)
+    if args.model:
+        g = graphmod.build_graph(spec, space)
     include_endpoints = args.antitone_range == "inclusive"
     basis = ideal.groebner_set(
         g, d0, include_endpoints=include_endpoints, cap_vertices=args.cap_vertices
@@ -183,6 +184,7 @@ def cmd_groebner(args) -> int:
 
 def cmd_decompose(args) -> int:
     space, spec = _load_model(args.model)
+    graphmod.check_enumeration_cap(space.num_configs(), decomp.ADMISSIBLE_CAP)
     g = graphmod.build_graph(spec, space)
     d0 = args.d0 if args.d0 is not None else space.d0
     admissible = decomp.admissible_sets(g)

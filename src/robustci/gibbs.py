@@ -160,6 +160,14 @@ def neuron_modalities(weights) -> FunctionalModalities:
     return FunctionalModalities(space, kernels)
 
 
+def _log_kernels(mods: FunctionalModalities) -> dict:
+    """ln kernel_C, per subset C and partial configuration on C."""
+    return {
+        nodes: {xa: tuple(math.log(p) for p in row) for xa, row in rows.items()}
+        for nodes, rows in mods.kernels.items()
+    }
+
+
 def moebius_potentials(mods: FunctionalModalities) -> GibbsPotentials:
     """Potentials via Moebius inversion of the log-kernels over the subset lattice.
 
@@ -170,10 +178,7 @@ def moebius_potentials(mods: FunctionalModalities) -> GibbsPotentials:
     if not mods.is_strictly_positive():
         raise InputError("positivity required for Moebius inversion")
     space = mods.space
-    logs = {
-        nodes: {xa: tuple(math.log(p) for p in row) for xa, row in rows.items()}
-        for nodes, rows in mods.kernels.items()
-    }
+    logs = _log_kernels(mods)
     phi = {
         nodes: _subset_sums(space, nodes, len(nodes), logs.__getitem__, alternating=True)
         for nodes in node_subsets(space.n)
@@ -308,10 +313,7 @@ def k_interaction_decompose(mods: FunctionalModalities, k: int) -> KInteractionD
     if not mods.is_strictly_positive():
         raise InputError("positivity required for the interaction decomposition")
     space = mods.space
-    logs = {
-        nodes: {xa: tuple(math.log(p) for p in row) for xa, row in rows.items()}
-        for nodes, rows in mods.kernels.items()
-    }
+    logs = _log_kernels(mods)
     psi = {}
     shared = {}
     for large in node_subsets(space.n):

@@ -27,27 +27,24 @@ class InputGraph:
     def __init__(self, space: StateSpace, edges, witnesses=None):
         self.space = space
         self.vertices = tuple(space.configs())
-        vertex_set = set(self.vertices)
-        adj = {v: set() for v in self.vertices}
+        self._index = {v: i for i, v in enumerate(self.vertices)}
+        # adjacency as bitmasks over the canonical vertex order
+        self._masks = [0] * len(self.vertices)
         witnesses = witnesses or {}
         self.edge_witness = {}
         for u, v in edges:
             u, v = tuple(u), tuple(v)
-            if u not in vertex_set or v not in vertex_set:
+            if u not in self._index or v not in self._index:
                 raise InputError(f"edge ({u}, {v}) leaves the configuration set")
             if u == v:
                 raise InputError(f"self-loop at {u}")
             key = (min(u, v), max(u, v))
-            adj[u].add(v)
-            adj[v].add(u)
+            self._masks[self._index[u]] |= 1 << self._index[v]
+            self._masks[self._index[v]] |= 1 << self._index[u]
             self.edge_witness[key] = witnesses.get(key)
-        self._adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
-        self._index = {v: i for i, v in enumerate(self.vertices)}
-        # adjacency as bitmasks over the canonical vertex order
-        self._masks = [self._mask_of(self._adj[v]) for v in self.vertices]
 
     def neighbors(self, v: Config) -> tuple:
-        return self._adj[v]
+        return tuple(self._vertices_of(self._masks[self._index[v]]))
 
     def has_edge(self, u: Config, v: Config) -> bool:
         return (min(u, v), max(u, v)) in self.edge_witness
@@ -222,32 +219,12 @@ def _mask_components(mask: int, nbr_masks) -> list:
     return comps
 
 
-def _non_merging_vertex(mask: int, comps, nbr_masks) -> int:
-    """The lowest vertex outside ``mask`` adjacent to fewer than two of its
-    components ``comps``, as a bitmask; 0 when there is none.
-
-    Adding vertex v to ``mask`` gives len(comps) + 1 - (#components v touches)
-    components, so the structure on ``mask`` is maximal iff this returns 0.
-    """
-    outside = ((1 << len(nbr_masks)) - 1) & ~mask
-    while outside:
-        bit = outside & -outside
-        outside ^= bit
-        nb = nbr_masks[bit.bit_length() - 1] & mask
-        for c in comps:
-            if nb & c:
-                if nb & ~c:
-                    break  # the vertex also touches a second component
-                return bit
-        else:
-            return bit
-    return 0
-
-
-def _cut_off(inside: int, out: int, undecided: int, comps, nbr_masks) -> bool:
-    """Whether some vertex of ``out`` has c + e < 2, the cut of
-    :func:`enumerate_maximal_structures`; ``comps`` holds the components of
-    ``inside`` as (vertex mask, neighbourhood mask) pairs."""
+def _unmerging_vertex(inside: int, out: int, undecided: int, comps, nbr_masks) -> int:
+    """The lowest vertex of ``out`` with c + e < 2 (the cut of
+    :func:`enumerate_maximal_structures`) as a bitmask, 0 when there is none;
+    ``comps`` holds the components of ``inside`` as (vertex mask,
+    neighbourhood mask) pairs.  With nothing undecided e = 0, so ``inside`` is
+    maximal iff this returns 0 with ``out`` its complement."""
     while out:
         bit = out & -out
         out ^= bit
@@ -256,7 +233,7 @@ def _cut_off(inside: int, out: int, undecided: int, comps, nbr_masks) -> bool:
         seen = nb & inside
         if not seen:
             if not free & (free - 1):  # c = 0 and e < 2
-                return True
+                return bit
             continue
         for comp, reach in comps:
             if seen & comp:
@@ -264,8 +241,16 @@ def _cut_off(inside: int, out: int, undecided: int, comps, nbr_masks) -> bool:
         if seen & ~comp:
             continue  # c >= 2
         if not free & ~reach:  # c = 1 and e = 0
-            return True
-    return False
+            return bit
+    return 0
+
+
+def check_enumeration_cap(m: int, cap: int) -> None:
+    """Raise ResourceLimitError when ``m`` vertices exceed the enumeration cap."""
+    if m > cap:
+        raise ResourceLimitError(
+            f"{m} vertices exceed the enumeration cap of {cap} (2^{m} subsets)"
+        )
 
 
 def enumerate_maximal_structures(graph: InputGraph, cap: int = 20) -> list:
@@ -279,20 +264,17 @@ def enumerate_maximal_structures(graph: InputGraph, cap: int = 20) -> list:
     support S contains I, so the components of G[I] can only merge, and any
     other component of G[S] touching v holds an undecided neighbour of v
     counted in e; so v touches at most c + e components of G[S] and cannot
-    merge two of them.  Each leaf is accepted only when
-    :func:`_non_merging_vertex` finds no vertex that fails to merge, so the
-    cut need only be sound.  The stack is explicit, so ``cap`` may exceed the
-    recursion limit.
+    merge two of them.  At the last decision nothing is undecided, so e = 0
+    and the cut is exactly the maximality test: every leaf is maximal, and
+    its blocks are the components the search carries.  The stack is
+    explicit, so ``cap`` may exceed the recursion limit.
 
     The result is deduplicated and canonically ordered; it is exactly the
     index set of the primary decomposition of the associated edge ideal.
     Raises ResourceLimitError if the graph has more than ``cap`` vertices.
     """
     m = len(graph.vertices)
-    if m > cap:
-        raise ResourceLimitError(
-            f"{m} vertices exceed the enumeration cap of {cap} (2^{m} subsets)"
-        )
+    check_enumeration_cap(m, cap)
     masks = graph._masks
     full = (1 << m) - 1
     found = []
@@ -301,13 +283,11 @@ def enumerate_maximal_structures(graph: InputGraph, cap: int = 20) -> list:
     while stack:
         i, inside, out, comps = stack.pop()
         if i == m:
-            blocks = _mask_components(inside, masks)
-            if not _non_merging_vertex(inside, blocks, masks):
-                found.append(_structure(graph, blocks))
+            found.append(_structure(graph, sorted((c for c, _ in comps), key=lambda c: c & -c)))
             continue
         bit = 1 << i
         undecided = full & ~((bit << 1) - 1)
-        if not _cut_off(inside, out | bit, undecided, comps, masks):
+        if not _unmerging_vertex(inside, out | bit, undecided, comps, masks):
             stack.append((i + 1, inside, out | bit, comps))
         nb = masks[i]
         merged, reach = bit, nb
@@ -319,7 +299,7 @@ def enumerate_maximal_structures(graph: InputGraph, cap: int = 20) -> list:
             else:
                 joined.append((comp, comp_reach))
         joined.append((merged, reach))
-        if not _cut_off(inside | bit, out, undecided, joined, masks):
+        if not _unmerging_vertex(inside | bit, out, undecided, joined, masks):
             stack.append((i + 1, inside | bit, out, tuple(joined)))
     found.sort(key=lambda s: s.blocks)
     return found
@@ -358,15 +338,14 @@ def grow_to_maximal(graph: InputGraph, start) -> RobustnessStructure:
     maximality condition holds.
     """
     mask = graph._mask_of(start)
+    full = (1 << len(graph.vertices)) - 1
     while True:
         comps = _mask_components(mask, graph._masks)
-        bit = _non_merging_vertex(mask, comps, graph._masks)
+        # with nothing undecided the components' neighbourhoods play no part
+        bit = _unmerging_vertex(mask, full & ~mask, 0, [(c, 0) for c in comps], graph._masks)
         if not bit:
             return _structure(graph, comps)
         mask |= bit
-
-
-_CUBE_CATEGORIES = ("empty", "plane-split", "parity-class", "vertex-cut")
 
 
 def cube_complement_category(structure: RobustnessStructure) -> str:
@@ -421,7 +400,7 @@ def graph_from_json(obj) -> InputGraph:
             if w is not None:
                 witnesses[key] = (tuple(int(a) for a in w["R"]), tuple(int(a) for a in w["y"]))
         return InputGraph(space, edges, witnesses)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"bad graph file: {exc}") from exc
 
 
@@ -435,6 +414,6 @@ def structure_from_json(obj, space: StateSpace) -> RobustnessStructure:
             [tuple(int(v) for v in x) for x in block]
             for block in obj["blocks"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"bad structure file: {exc}") from exc
     return RobustnessStructure.from_blocks(space, blocks)

@@ -88,24 +88,30 @@ def enumerate_admissible_paths(graph: InputGraph, x, y) -> list:
     """All admissible paths from x to y (requires x < y in the vertex order).
 
     Admissible means: injective, every interior vertex below x or above y, and
-    no ordered proper subsequence of the interior is itself an x-y path.
+    no ordered proper subsequence of the interior is itself an x-y path.  Such
+    a subsequence exists exactly when the path has a chord, an edge between
+    two non-consecutive vertices, so the search never steps to a vertex
+    adjacent to a path vertex other than the last one.
     """
     if not x < y:
         raise InputError("admissible paths require x < y in the canonical order")
-    allowed = {v for v in graph.vertices if v < x or v > y}
     found = []
 
-    def walk(v, path, seen):
-        for w in graph.neighbors(v):
+    def walk(path, blocked):
+        nbrs = graph.neighbors(path[-1])
+        ahead = blocked.union(nbrs)
+        for w in nbrs:
+            if w in blocked:
+                continue
             if w == y:
                 found.append(path + (y,))
-            elif w in allowed and w not in seen:
-                walk(w, path + (w,), seen | {w})
+            elif w < x or w > y:
+                walk(path + (w,), ahead)
 
-    walk(x, (x,), {x})
-    admissible = [p for p in found if _shortcut(graph, p) is None]
-    admissible.sort(key=lambda p: (len(p), p))
-    return admissible
+    # blocked: the path and the neighbours of every path vertex but the last
+    walk((x,), {x})
+    found.sort(key=lambda p: (len(p), p))
+    return found
 
 
 def _antitone_violations(path, labels, include_endpoints: bool):
@@ -161,6 +167,16 @@ class GroebnerElement:
     polynomial: Polynomial
 
 
+def check_basis_size(num_vertices: int, d0: int, cap_vertices: int) -> None:
+    """Raise the first fault of a basis request: d0 < 2, then too many vertices."""
+    if d0 < 2:
+        raise InputError(f"need at least two output letters, got {d0}")
+    if num_vertices > cap_vertices:
+        raise ResourceLimitError(
+            f"{num_vertices} vertices exceed the basis enumeration cap of {cap_vertices}"
+        )
+
+
 def groebner_set(
     graph: InputGraph,
     d0: int,
@@ -173,12 +189,7 @@ def groebner_set(
     strictly antitone labelings; duplicates (distinct indexings of one
     polynomial) are removed.
     """
-    if d0 < 2:
-        raise InputError(f"need at least two output letters, got {d0}")
-    if len(graph.vertices) > cap_vertices:
-        raise ResourceLimitError(
-            f"{len(graph.vertices)} vertices exceed the basis enumeration cap of {cap_vertices}"
-        )
+    check_basis_size(len(graph.vertices), d0, cap_vertices)
     elements = []
     for x, y in itertools.combinations(graph.vertices, 2):
         for path in enumerate_admissible_paths(graph, x, y):

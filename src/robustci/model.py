@@ -277,7 +277,7 @@ def model_from_json(obj) -> tuple:
         raise InputError("model file must contain a JSON object")
     try:
         space = StateSpace(int(obj["d0"]), [int(v) for v in obj["d"]])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InputError(f"bad model fields d0/d: {exc}") from exc
     spec_obj = obj.get("spec")
     if spec_obj is None:
@@ -287,7 +287,7 @@ def model_from_json(obj) -> tuple:
     if "uniform_k" in spec_obj:
         try:
             k = int(spec_obj["uniform_k"])
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise InputError(f"bad uniform_k: {exc}") from exc
         spec = make_uniform_spec(k, space)
     elif "pairs" in spec_obj:
@@ -321,7 +321,7 @@ def distribution_from_json(obj, space: StateSpace) -> JointDistribution:
         try:
             key = (int(entry["x0"]), tuple(int(v) for v in entry["x"]))
             p = parse_fraction(entry["p"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise InputError(f"bad distribution entry {entry!r}: {exc}") from exc
         table[key] = table.get(key, Fraction(0)) + p
     return JointDistribution(space, table)
@@ -331,5 +331,5 @@ def read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc

@@ -14,6 +14,7 @@ clever strategies.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
@@ -260,6 +261,15 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     return tf - tg
 
 
+def _s_remainder(f: Polynomial, g: Polynomial, basis):
+    """The S-polynomial of f and g reduced modulo ``basis``, or None when their
+    leading monomials are coprime (Buchberger's first criterion: that
+    S-polynomial always reduces to zero)."""
+    if not f.leading_monomial().shares_variable(g.leading_monomial()):
+        return None
+    return reduce(s_polynomial(f, g), basis)
+
+
 def interreduce(polys) -> list:
     """Turn a Groebner basis into the reduced Groebner basis for the order.
 
@@ -286,14 +296,7 @@ def buchberger(gens, *, max_pairs: int = 50_000) -> list:
     Raises ResourceLimitError after ``max_pairs`` S-pairs, or when a nonzero
     S-pair remainder has more than MAX_TERMS terms.
     """
-    basis = []
-    seen = set()
-    for g in gens:
-        if g:
-            g = g.monic()
-            if g not in seen:
-                seen.add(g)
-                basis.append(g)
+    basis = list(dict.fromkeys(g.monic() for g in gens if g))
     heap = []
 
     def push_pairs(k):
@@ -312,10 +315,7 @@ def buchberger(gens, *, max_pairs: int = 50_000) -> list:
             raise ResourceLimitError(
                 f"S-pair cap {max_pairs} exceeded with basis size {len(basis)}"
             )
-        fi, fj = basis[i], basis[j]
-        if not fi.leading_monomial().shares_variable(fj.leading_monomial()):
-            continue
-        r = reduce(s_polynomial(fi, fj), basis)
+        r = _s_remainder(basis[i], basis[j], basis)
         if r:
             if r.num_terms() > MAX_TERMS:
                 raise ResourceLimitError(
@@ -327,13 +327,16 @@ def buchberger(gens, *, max_pairs: int = 50_000) -> list:
 
 
 def buchberger_criterion(basis) -> bool:
-    """Whether every S-pair of the basis reduces to zero modulo the basis."""
+    """Whether the basis is a Groebner basis: every S-pair whose leading
+    monomials share a variable reduces to zero modulo the basis.
+
+    This is the verdict of testing every pair.  A coprime pair always has a
+    standard representation, so the other pairs decide (Cox-Little-O'Shea,
+    Ideals, Varieties, and Algorithms, section 2.9); and modulo a Groebner
+    basis every S-polynomial reduces to zero.
+    """
     basis = [g for g in basis if g]
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if reduce(s_polynomial(basis[i], basis[j]), basis):
-                return False
-    return True
+    return not any(_s_remainder(f, g, basis) for f, g in itertools.combinations(basis, 2))
 
 
 def ideal_membership(f: Polynomial, gb, verify: bool = False) -> bool:

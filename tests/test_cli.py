@@ -192,6 +192,62 @@ class TestCheckCommand:
         assert err.startswith("error: ") and message in err
 
 
+class TestLoaderFaults:
+    """Faults that once escaped the loaders as tracebacks with exit 1."""
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("graph", b'{"d0": 2, "d": [2], "spec": {"uniform_k": 1}, "x": "\xff"}', "cannot read"),
+        ("graph", b"[" * 100_000, "cannot read"),
+        ("graph", b'{"d0": Infinity, "d": [2], "spec": {"uniform_k": 1}}', "bad model fields d0/d"),
+        ("graph", b'{"d0": 2, "d": [2, Infinity], "spec": {"uniform_k": 1}}', "bad model fields d0/d"),
+        ("graph", b'{"d0": 2, "d": [2], "spec": {"uniform_k": Infinity}}', "bad uniform_k"),
+        ("groebner", b'{"space": {"d0": 2, "d": [Infinity]}, "edges": []}', "bad graph file"),
+        ("groebner", b'{"space": {"d0": 2, "d": [2]}, "edges": [{"u": [Infinity], "v": [1]}]}',
+         "bad graph file"),
+    ], ids=["not-utf8", "deep-nesting", "d0-infinity", "d-infinity", "uniform-k-infinity",
+            "graph-d-infinity", "edge-u-infinity"])
+    def test_input_file_exits_2(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "in.json"
+        path.write_bytes(text)
+        flag = "--graph" if command == "groebner" else "--model"
+        assert main([command, flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_distribution_x0_infinity_exits_2(self, tmp_path, capsys):
+        model_path = write_json(tmp_path / "m.json", {"d0": 2, "d": [2], "spec": {"uniform_k": 1}})
+        dist_path = tmp_path / "d.json"
+        dist_path.write_text('{"entries": [{"x0": Infinity, "x": [1], "p": "1"}]}')
+        assert main(["check", "--model", model_path, "--dist", str(dist_path)]) == 2
+        assert "bad distribution entry" in capsys.readouterr().err
+
+
+class TestCapsBeforeGraph:
+    """A 2,000-configuration model: the vertex caps fire before the 2M-edge clique is built."""
+
+    @pytest.fixture
+    def big_model(self, tmp_path, monkeypatch):
+        def no_graph(*args, **kwargs):
+            raise AssertionError("graph built before the vertex cap")
+
+        monkeypatch.setattr("robustci.graph.build_graph", no_graph)
+        return write_json(tmp_path / "m.json", {"d0": 2, "d": [40, 50], "spec": {"uniform_k": 0}})
+
+    @pytest.mark.parametrize("command, extra, message", [
+        ("structures", [], "2000 vertices exceed the enumeration cap of 20 (2^2000 subsets)"),
+        ("structures", ["--all"], "2000 vertices exceed the all-structures cap of 12"),
+        ("groebner", [], "2000 vertices exceed the basis enumeration cap of 12"),
+        ("decompose", [], "2000 vertices exceed the enumeration cap of 20 (2^2000 subsets)"),
+    ], ids=["structures", "structures-all", "groebner", "decompose"])
+    def test_cap_exits_3(self, big_model, capsys, command, extra, message):
+        assert main([command, "--model", big_model] + extra) == 3
+        assert capsys.readouterr().err == f"resource limit: {message}\n"
+
+    def test_groebner_d0_fault_comes_first(self, big_model, capsys):
+        assert main(["groebner", "--model", big_model, "--d0", "1"]) == 2
+        assert capsys.readouterr().err == "error: need at least two output letters, got 1\n"
+
+
 class TestGroebnerCommand:
     def test_single_edge_d3_verified(self, tmp_path):
         space = StateSpace(3, (2,))

@@ -25,8 +25,8 @@ from robustci import (
 )
 from robustci.graph import (
     _mask_components,
-    _non_merging_vertex,
     _structure,
+    _unmerging_vertex,
     cube_complement_category,
     graph_from_json,
     graph_to_json,
@@ -75,8 +75,32 @@ def brute_force_maximal_supports(vertices, adjacent):
     return maximal
 
 
+def non_merging_vertex(mask: int, comps, nbr_masks) -> int:
+    """Oracle: the lowest vertex outside ``mask`` adjacent to fewer than two of
+    its components ``comps``, as a bitmask; 0 when there is none.
+
+    Adding vertex v to ``mask`` gives len(comps) + 1 - (#components v touches)
+    components, so the structure on ``mask`` is maximal iff this returns 0.
+    This is the leaf check that the search's cut with nothing undecided
+    replaced.
+    """
+    outside = ((1 << len(nbr_masks)) - 1) & ~mask
+    while outside:
+        bit = outside & -outside
+        outside ^= bit
+        nb = nbr_masks[bit.bit_length() - 1] & mask
+        for c in comps:
+            if nb & c:
+                if nb & ~c:
+                    break  # the vertex also touches a second component
+                return bit
+        else:
+            return bit
+    return 0
+
+
 def subset_scan_structures(graph):
-    """Oracle: test all 2^m vertex subsets with the maximality kernel.
+    """Oracle: test all 2^m vertex subsets with :func:`non_merging_vertex`.
 
     This is the exhaustive scan that the pruned search in
     ``enumerate_maximal_structures`` replaces.
@@ -85,7 +109,7 @@ def subset_scan_structures(graph):
     found = []
     for mask in range(1, 1 << m):
         comps = _mask_components(mask, graph._masks)
-        if not _non_merging_vertex(mask, comps, graph._masks):
+        if not non_merging_vertex(mask, comps, graph._masks):
             found.append(_structure(graph, comps))
     found.sort(key=lambda s: s.blocks)
     return found
@@ -434,6 +458,22 @@ class TestGrowToMaximal:
         s = components_of(g, g.vertices)
         assert grow_to_maximal(g, g.vertices) == s
 
+    def test_kernel_with_nothing_undecided_matches_leaf_check(self):
+        rng = random.Random("one-kernel")
+        grown = 0
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 10), rng.random())
+            full = (1 << len(g.vertices)) - 1
+            mask = start = rng.randint(0, full)
+            comps = _mask_components(mask, g._masks)
+            got = _unmerging_vertex(mask, full & ~mask, 0, [(c, 0) for c in comps], g._masks)
+            assert got == non_merging_vertex(mask, comps, g._masks)
+            while bit := non_merging_vertex(mask, _mask_components(mask, g._masks), g._masks):
+                mask |= bit
+            assert grow_to_maximal(g, g._vertices_of(start)) == components_of(g, g._vertices_of(mask))
+            grown += mask != start
+        assert grown > 0
+
 
 class TestStructureBasics:
     def test_from_blocks_canonicalizes(self):
@@ -452,6 +492,10 @@ class TestStructureBasics:
         g = cube_graph()
         s = components_of(g, {(1, 1, 1), (2, 2, 2)})
         assert structure_from_json(structure_to_json(s), CUBE_SPACE) == s
+
+    def test_structure_file_with_infinity_rejected(self):
+        with pytest.raises(InputError, match="bad structure file"):
+            structure_from_json({"blocks": [[[1, 1, float("inf")]]]}, CUBE_SPACE)
 
     def test_graph_json_round_trip(self):
         g = cube_graph()

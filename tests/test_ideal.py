@@ -84,10 +84,11 @@ class TestAdmissiblePaths:
         # independent oracle: enumerate all injective paths, then apply the
         # definition's three conditions literally
         rng = random.Random(4)
-        for _ in range(20):
-            m = rng.randint(3, 5)
+        shapes = [(m, density) for m in (5, 6, 7) for density in (0.0, 1.0)]
+        shapes += [(rng.randint(2, 7), rng.random()) for _ in range(80)]
+        for m, density in shapes:
             pairs = list(itertools.combinations(range(1, m + 1), 2))
-            edges = [p for p in pairs if rng.random() < 0.55]
+            edges = [p for p in pairs if rng.random() < density]
             g = line_graph(m, edges)
 
             def all_paths(x, y):

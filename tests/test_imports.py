@@ -1,6 +1,8 @@
-"""Every name a program module imports is used in that module.
+"""Every name a program module imports is used in that module, and every
+private helper is used somewhere in the package.
 
-``__init__.py`` is exempt: its imports are the package's public API.
+``__init__.py`` is exempt from the import check: its imports are the
+package's public API.
 """
 
 import ast
@@ -37,6 +39,43 @@ def test_every_import_is_used(path):
         f"{name} (line {line})" for name, line in imported_names(tree).items() if name not in used
     )
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def private_helpers(trees) -> dict:
+    """(module, name) -> definition node of every ``_name`` function or method."""
+    return {
+        (path.name, node.name): node
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+    }
+
+
+def references(tree) -> list:
+    """Every name and attribute read or imported in a syntax tree."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.extend(alias.name for alias in node.names)
+    return out
+
+
+def test_every_private_helper_is_used():
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    everywhere = [name for tree in trees.values() for name in references(tree)]
+    helpers = private_helpers(trees)
+    dead = sorted(
+        f"{module}:{node.lineno} {name}"
+        for (module, name), node in helpers.items()
+        if everywhere.count(name) == references(node).count(name)
+    )
+    assert not dead, f"private helpers referenced only in their own definition: {dead}"
+    assert len(helpers) > 20
 
 
 def test_modules_found():

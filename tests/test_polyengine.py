@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -289,8 +290,9 @@ class TestInterreduce:
 
 # ---------------------------------------------------------------------------
 # Oracles: the merged-scan lex comparison, the division by Polynomial
-# subtraction and the fixpoint interreduction that the tuple order, the
-# in-place term loop and the one-pass interreduction replaced.  The
+# subtraction, the fixpoint interreduction and the all-pairs criterion that
+# the tuple order, the in-place term loop, the one-pass interreduction and
+# the coprime skip replaced.  The
 # arithmetic oracles work on plain term dicts, so they share no code with
 # Polynomial.
 
@@ -394,6 +396,16 @@ def oracle_interreduce(polys) -> list:
         minimal = reduced
 
 
+def oracle_criterion(basis) -> bool:
+    """Buchberger's criterion over every pair, coprime ones included."""
+    basis = [g for g in basis if g]
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            if reduce(s_polynomial(basis[i], basis[j]), basis):
+                return False
+    return True
+
+
 ORACLE_VARS = [var(r, c) for r in (1, 2, 3) for c in (1, 2, 3)] + [ELIM_VARIABLE]
 
 
@@ -469,6 +481,23 @@ class TestOracles:
             shrunk += len(got) < len(inputs)
             rewritten += any(g not in inputs for g in got)
         assert shrunk > 0 and rewritten > 0
+
+    def test_coprime_skip_keeps_the_criterion_verdict(self):
+        rng = random.Random(15)
+        verdicts = []
+        coprime = 0
+        for _ in range(150):
+            polys = [Polynomial(random_terms(rng, 3)) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.5:
+                polys = buchberger(polys)
+                if len(polys) > 1 and rng.random() < 0.5:
+                    polys.pop(rng.randrange(len(polys)))
+            verdicts.append(buchberger_criterion(polys))
+            assert verdicts[-1] == oracle_criterion(polys)
+            leads = [p.leading_monomial() for p in polys if p]
+            coprime += any(not a.shares_variable(b) for a, b in itertools.combinations(leads, 2))
+        assert set(verdicts) == {True, False}
+        assert coprime > 0
 
     def test_division_edge_cases(self):
         f = {mono((ELIM_VARIABLE, 1), (P11, 1)): Fraction(2, 3), Monomial(()): Fraction(-5, 2)}
