@@ -64,19 +64,19 @@ def check_ci_statement(dist: JointDistribution, nodes, y) -> bool:
     pinned on ``nodes[k]``, in whatever order the nodes are given.  Raises
     InputError unless the pair fits the distribution's space.
     """
-    statement = RobustnessSpec.of([(nodes, y)])
-    validate_spec(statement, dist.space)
-    (pair,) = statement.pairs
-    return _first_failing_minor(dist, *pair) is None
+    return is_robust(dist, RobustnessSpec.of([(nodes, y)]))
 
 
 def is_robust(dist: JointDistribution, spec: RobustnessSpec) -> bool:
-    """Whether every conditional-independence statement of the specification holds."""
-    return all(check_ci_statement(dist, nodes, y) for nodes, y in spec.sorted_pairs())
+    """Whether every conditional-independence statement of the specification holds.
+    Raises InputError unless every pair fits the distribution's space."""
+    return robustness_report(dist, spec)["robust"]
 
 
 def robustness_report(dist: JointDistribution, spec: RobustnessSpec) -> dict:
-    """Robustness verdict plus, on failure, the first failing statement and minor."""
+    """Robustness verdict plus, on failure, the first failing statement and minor.
+    Raises InputError unless every pair fits the distribution's space."""
+    validate_spec(spec, dist.space)
     for nodes, y in spec.sorted_pairs():
         failing = _first_failing_minor(dist, nodes, y)
         if failing is not None:

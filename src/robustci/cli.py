@@ -23,7 +23,7 @@ import os
 import sys
 import tempfile
 
-from . import ci, decomp, gibbs, graph as graphmod, ideal, model
+from . import ci, decomp, gibbs, graph as graphmod, ideal, model, polyengine
 from .errors import InputError, ResourceLimitError
 
 EXIT_OK = 0
@@ -31,6 +31,9 @@ EXIT_NOT_ROBUST = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
+
+# Most vertices ``structures --all`` accepts: it visits all 2^m subsets.
+ALL_STRUCTURES_CAP = 12
 
 
 def _emit(payload, args) -> None:
@@ -88,10 +91,10 @@ def cmd_graph(args) -> int:
 
 def cmd_structures(args) -> int:
     space, spec = _load_model(args.model)
-    m, all_cap = space.num_configs(), min(12, args.cap_vertices)
-    if args.all and m > all_cap:
-        raise ResourceLimitError(f"{m} vertices exceed the all-structures cap of {all_cap}")
-    graphmod.check_enumeration_cap(m, args.cap_vertices)
+    m = space.num_configs()
+    if args.all and m > ALL_STRUCTURES_CAP:
+        raise ResourceLimitError(f"{m} vertices exceed the all-structures cap of {ALL_STRUCTURES_CAP}")
+    graphmod.check_enumeration_cap(m)
     g = graphmod.build_graph(spec, space)
     if args.all:
         structures = sorted(
@@ -102,7 +105,7 @@ def cmd_structures(args) -> int:
             key=lambda s: s.blocks,
         )
     else:
-        structures = graphmod.enumerate_maximal_structures(g, cap=args.cap_vertices)
+        structures = graphmod.enumerate_maximal_structures(g)
     items = []
     for s in structures:
         item = graphmod.structure_to_json(s)
@@ -142,13 +145,11 @@ def cmd_groebner(args) -> int:
         g = graphmod.graph_from_json(model.read_json(args.graph))
         space = g.space
     d0 = args.d0 if args.d0 is not None else space.d0
-    ideal.check_basis_size(space.num_configs(), d0, args.cap_vertices)
+    ideal.check_basis_size(space.num_configs(), d0)
     if args.model:
         g = graphmod.build_graph(spec, space)
     include_endpoints = args.antitone_range == "inclusive"
-    basis = ideal.groebner_set(
-        g, d0, include_endpoints=include_endpoints, cap_vertices=args.cap_vertices
-    )
+    basis = ideal.groebner_set(g, d0, include_endpoints=include_endpoints)
     payload = {
         "d0": d0,
         "antitone_range": args.antitone_range,
@@ -160,13 +161,8 @@ def cmd_groebner(args) -> int:
         payload["elements"] = ideal.basis_to_json(basis)["elements"]
     failed = False
     if args.verify:
-        from . import polyengine
-
         polys = [e.polynomial for e in basis]
-        oracle = polyengine.buchberger(
-            [b.polynomial() for b in ideal.edge_generators(g, d0)],
-            max_pairs=args.cap_spairs,
-        )
+        oracle = polyengine.buchberger([b.polynomial() for b in ideal.edge_generators(g, d0)])
         checks = {
             "buchberger_criterion": polyengine.buchberger_criterion(polys),
             "reduced": ideal.is_reduced(basis),
@@ -183,12 +179,14 @@ def cmd_groebner(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    if args.trials < 0:
+        raise InputError(f"--trials must be >= 0, got {args.trials}")
     space, spec = _load_model(args.model)
-    graphmod.check_enumeration_cap(space.num_configs(), decomp.ADMISSIBLE_CAP)
-    g = graphmod.build_graph(spec, space)
     d0 = args.d0 if args.d0 is not None else space.d0
+    decomp.check_union_size(space.num_configs(), d0)
+    g = graphmod.build_graph(spec, space)
     admissible = decomp.admissible_sets(g)
-    report = decomp.verify_primary_decomposition(g, admissible, d0, max_pairs=args.cap_spairs)
+    report = decomp.verify_primary_decomposition(g, admissible, d0)
     union = decomp.verify_union_decomposition(g, admissible, d0, trials=args.trials, seed=args.seed)
     report["union_trials"] = union["trials"]
     report["counterexamples"] = report["counterexamples"] + union["counterexamples"]
@@ -269,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="every support subset, not only maximal ones (tiny spaces)")
     p.add_argument("--classify-complements", action="store_true",
                    help="tag complements with the binary three-input taxonomy")
-    p.add_argument("--cap-vertices", type=int, default=20)
     common(p)
     p.set_defaults(func=cmd_structures)
 
@@ -286,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="run Buchberger, reducedness, squarefree, bidegree and oracle checks")
     p.add_argument("--antitone-range", choices=["inclusive", "literal"], default="inclusive")
-    p.add_argument("--cap-vertices", type=int, default=12)
-    p.add_argument("--cap-spairs", type=int, default=50_000)
     common(p)
     p.set_defaults(func=cmd_groebner)
 
@@ -296,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d0", type=int)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0, help="seed of the variety-cover trials")
-    p.add_argument("--cap-spairs", type=int, default=50_000)
     common(p)
     p.set_defaults(func=cmd_decompose)
 
@@ -316,10 +310,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "groebner" and not (args.model or args.graph):
             raise InputError("groebner needs --model or --graph")
-        for name in ("cap_vertices", "cap_spairs", "trials"):
-            value = getattr(args, name, 0)
-            if value < 0:
-                raise InputError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

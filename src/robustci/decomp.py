@@ -19,12 +19,11 @@ from fractions import Fraction
 
 from .errors import InputError, ResourceLimitError
 from .graph import InputGraph, RobustnessStructure, components_of, enumerate_maximal_structures
-from .ideal import EdgeBinomial, Unknown, edge_generators
+from .ideal import EdgeBinomial, Unknown, check_output_letters, edge_generators
 from .model import blocks_proportional, format_fraction, vectors_proportional
 from .polyengine import Polynomial, buchberger, intersect_ideals, reduce
 
-# Vertex caps of the admissible-set enumeration, the union check and leg (c).
-ADMISSIBLE_CAP = 20
+# Vertex caps of the union check and leg (c).
 UNION_CAP = 12
 INTERSECTION_MAX_VERTICES = 3
 
@@ -71,7 +70,7 @@ def admissible_sets(graph: InputGraph) -> list:
     Admissibility of a support is maximality of the structure on it, so the
     supports of these structures are the admissible sets.
     """
-    return sorted(enumerate_maximal_structures(graph, ADMISSIBLE_CAP), key=lambda s: sorted(s.support))
+    return sorted(enumerate_maximal_structures(graph), key=lambda s: sorted(s.support))
 
 
 def containment(outer: RobustnessStructure, inner: RobustnessStructure) -> bool:
@@ -144,6 +143,13 @@ def random_matrix_point(graph: InputGraph, d0: int, rng: random.Random) -> Matri
     return MatrixPoint(d0, columns)
 
 
+def check_union_size(num_vertices: int, d0: int) -> None:
+    """Raise the first fault of a union check: d0 < 2, then too many vertices."""
+    check_output_letters(d0)
+    if num_vertices > UNION_CAP:
+        raise ResourceLimitError(f"{num_vertices} vertices exceed the verification cap of {UNION_CAP}")
+
+
 def verify_union_decomposition(graph: InputGraph, admissible, d0: int, trials: int, seed) -> dict:
     """Seeded check that the variety is covered by the components of ``admissible``.
 
@@ -153,10 +159,7 @@ def verify_union_decomposition(graph: InputGraph, admissible, d0: int, trials: i
     component, and that variety points lie in the component of their own
     support.  The report lists counterexamples; an empty list means pass.
     """
-    if len(graph.vertices) > UNION_CAP:
-        raise ResourceLimitError(
-            f"{len(graph.vertices)} vertices exceed the verification cap of {UNION_CAP}"
-        )
+    check_union_size(len(graph.vertices), d0)
     counterexamples = []
     for t in range(trials):
         rng = random.Random(f"{seed}:{t}")
@@ -197,7 +200,7 @@ def _point_json(point: MatrixPoint, graph: InputGraph) -> list:
     ]
 
 
-def verify_primary_decomposition(graph: InputGraph, admissible, d0: int, *, max_pairs: int = 50_000) -> dict:
+def verify_primary_decomposition(graph: InputGraph, admissible, d0: int) -> dict:
     """Three-legged verification of the decomposition indexed by ``admissible``.
 
     (a) admissible components are pairwise non-containing;
@@ -208,7 +211,7 @@ def verify_primary_decomposition(graph: InputGraph, admissible, d0: int, *, max_
         otherwise).
 
     Every Groebner computation stops with ResourceLimitError after
-    ``max_pairs`` S-pairs or beyond polyengine.MAX_TERMS terms.
+    polyengine.MAX_PAIRS S-pairs or beyond polyengine.MAX_TERMS terms.
     """
     counterexamples = []
 
@@ -226,7 +229,7 @@ def verify_primary_decomposition(graph: InputGraph, admissible, d0: int, *, max_
     edge_gens = [g.polynomial() for g in edge_generators(graph, d0)] if graph.num_edges() else []
     membership = True
     for y in admissible:
-        gb = buchberger(component_ideal(y, d0).generators(), max_pairs=max_pairs)
+        gb = buchberger(component_ideal(y, d0).generators())
         for f in edge_gens:
             if reduce(f, gb):
                 membership = False
@@ -238,8 +241,8 @@ def verify_primary_decomposition(graph: InputGraph, admissible, d0: int, *, max_
 
     if len(graph.vertices) <= INTERSECTION_MAX_VERTICES and d0 == 2:
         component_gens = [component_ideal(y, d0).generators() for y in admissible]
-        intersection = intersect_ideals(component_gens, max_pairs=max_pairs)
-        target = buchberger(edge_gens, max_pairs=max_pairs)
+        intersection = intersect_ideals(component_gens)
+        target = buchberger(edge_gens)
         intersection_equality = set(intersection) == set(target)
         if intersection_equality is False:
             counterexamples.append({"leg": "intersection_equality"})

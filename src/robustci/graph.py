@@ -16,6 +16,9 @@ from dataclasses import dataclass
 from .errors import InputError, ResourceLimitError
 from .model import Config, RobustnessSpec, StateSpace, validate_spec
 
+# Most vertices enumerate_maximal_structures accepts.
+ENUMERATION_CAP = 20
+
 
 class InputGraph:
     """Undirected graph on the input configurations of a state space.
@@ -245,15 +248,13 @@ def _unmerging_vertex(inside: int, out: int, undecided: int, comps, nbr_masks) -
     return 0
 
 
-def check_enumeration_cap(m: int, cap: int) -> None:
-    """Raise ResourceLimitError when ``m`` vertices exceed the enumeration cap."""
-    if m > cap:
-        raise ResourceLimitError(
-            f"{m} vertices exceed the enumeration cap of {cap} (2^{m} subsets)"
-        )
+def check_enumeration_cap(m: int) -> None:
+    """Raise ResourceLimitError when ``m`` vertices exceed ENUMERATION_CAP."""
+    if m > ENUMERATION_CAP:
+        raise ResourceLimitError(f"{m} vertices exceed the enumeration cap of {ENUMERATION_CAP}")
 
 
-def enumerate_maximal_structures(graph: InputGraph, cap: int = 20) -> list:
+def enumerate_maximal_structures(graph: InputGraph) -> list:
     """All maximal robustness structures, by a pruned depth-first search.
 
     The search decides the vertices in canonical order, each in or out of the
@@ -267,14 +268,14 @@ def enumerate_maximal_structures(graph: InputGraph, cap: int = 20) -> list:
     merge two of them.  At the last decision nothing is undecided, so e = 0
     and the cut is exactly the maximality test: every leaf is maximal, and
     its blocks are the components the search carries.  The stack is
-    explicit, so ``cap`` may exceed the recursion limit.
+    explicit, so ENUMERATION_CAP may exceed the recursion limit.
 
     The result is deduplicated and canonically ordered; it is exactly the
     index set of the primary decomposition of the associated edge ideal.
-    Raises ResourceLimitError if the graph has more than ``cap`` vertices.
+    Raises ResourceLimitError beyond ENUMERATION_CAP vertices.
     """
     m = len(graph.vertices)
-    check_enumeration_cap(m, cap)
+    check_enumeration_cap(m)
     masks = graph._masks
     full = (1 << m) - 1
     found = []

@@ -24,6 +24,9 @@ from .graph import InputGraph
 from .model import format_fraction
 from .polyengine import ELIM_VARIABLE, Monomial, Polynomial
 
+# Most vertices groebner_set accepts.
+BASIS_CAP = 12
+
 
 class Unknown(NamedTuple):
     """The unknown p[row, column]; tuple comparison gives the variable order.
@@ -167,29 +170,27 @@ class GroebnerElement:
     polynomial: Polynomial
 
 
-def check_basis_size(num_vertices: int, d0: int, cap_vertices: int) -> None:
-    """Raise the first fault of a basis request: d0 < 2, then too many vertices."""
+def check_output_letters(d0: int) -> None:
+    """Raise InputError unless there are at least two output letters."""
     if d0 < 2:
         raise InputError(f"need at least two output letters, got {d0}")
-    if num_vertices > cap_vertices:
-        raise ResourceLimitError(
-            f"{num_vertices} vertices exceed the basis enumeration cap of {cap_vertices}"
-        )
 
 
-def groebner_set(
-    graph: InputGraph,
-    d0: int,
-    include_endpoints: bool = True,
-    cap_vertices: int = 12,
-) -> list:
+def check_basis_size(num_vertices: int, d0: int) -> None:
+    """Raise the first fault of a basis request: d0 < 2, then too many vertices."""
+    check_output_letters(d0)
+    if num_vertices > BASIS_CAP:
+        raise ResourceLimitError(f"{num_vertices} vertices exceed the basis enumeration cap of {BASIS_CAP}")
+
+
+def groebner_set(graph: InputGraph, d0: int, include_endpoints: bool = True) -> list:
     """The combinatorial Groebner basis of the edge ideal, canonically ordered.
 
     Elements are indexed by vertex pairs x < y, admissible x-y paths, and
     strictly antitone labelings; duplicates (distinct indexings of one
     polynomial) are removed.
     """
-    check_basis_size(len(graph.vertices), d0, cap_vertices)
+    check_basis_size(len(graph.vertices), d0)
     elements = []
     for x, y in itertools.combinations(graph.vertices, 2):
         for path in enumerate_admissible_paths(graph, x, y):

@@ -27,6 +27,9 @@ ELIM_VARIABLE = (float("inf"),)
 # Most terms a nonzero S-pair remainder may have before buchberger gives up.
 MAX_TERMS = 10_000
 
+# Most S-pairs one buchberger run may process.
+MAX_PAIRS = 50_000
+
 
 class Monomial:
     """Product of variables with positive exponents.
@@ -287,13 +290,13 @@ def interreduce(polys) -> list:
     return [reduce(g, minimal[:i] + minimal[i + 1:]) for i, g in enumerate(minimal)]
 
 
-def buchberger(gens, *, max_pairs: int = 50_000) -> list:
+def buchberger(gens) -> list:
     """The reduced Groebner basis of the ideal generated by ``gens``.
 
     S-pairs are processed lowest lcm degree first with ties broken by the
     monomial order, so runs are reproducible.  Pairs with coprime leading
     monomials are skipped (their S-polynomials always reduce to zero).
-    Raises ResourceLimitError after ``max_pairs`` S-pairs, or when a nonzero
+    Raises ResourceLimitError after MAX_PAIRS S-pairs, or when a nonzero
     S-pair remainder has more than MAX_TERMS terms.
     """
     basis = list(dict.fromkeys(g.monic() for g in gens if g))
@@ -311,9 +314,9 @@ def buchberger(gens, *, max_pairs: int = 50_000) -> list:
     while heap:
         _, _, i, j = heapq.heappop(heap)
         processed += 1
-        if processed > max_pairs:
+        if processed > MAX_PAIRS:
             raise ResourceLimitError(
-                f"S-pair cap {max_pairs} exceeded with basis size {len(basis)}"
+                f"S-pair cap {MAX_PAIRS} exceeded with basis size {len(basis)}"
             )
         r = _s_remainder(basis[i], basis[j], basis)
         if r:
@@ -380,7 +383,7 @@ def is_bihomogeneous(poly: Polynomial) -> bool:
     return len(degrees) <= 1
 
 
-def elimination_intersection(gens_a, gens_b, *, max_pairs: int = 50_000) -> list:
+def elimination_intersection(gens_a, gens_b) -> list:
     """Generators of the intersection of two ideals, via a fresh sentinel variable.
 
     Computes a Groebner basis of t*A + (1-t)*B and keeps the t-free part,
@@ -389,16 +392,16 @@ def elimination_intersection(gens_a, gens_b, *, max_pairs: int = 50_000) -> list
     t = Polynomial.variable(ELIM_VARIABLE)
     one_minus_t = Polynomial.constant(1) - t
     mixed = [t * f for f in gens_a if f] + [one_minus_t * g for g in gens_b if g]
-    gb = buchberger(mixed, max_pairs=max_pairs)
+    gb = buchberger(mixed)
     return [g for g in gb if not g.uses_variable(ELIM_VARIABLE)]
 
 
-def intersect_ideals(gens_list, *, max_pairs: int = 50_000) -> list:
+def intersect_ideals(gens_list) -> list:
     """Reduced Groebner basis of the intersection of finitely many ideals."""
     gens_list = list(gens_list)
     if not gens_list:
         raise InputError("need at least one ideal to intersect")
-    acc = buchberger(gens_list[0], max_pairs=max_pairs)
+    acc = buchberger(gens_list[0])
     for gens in gens_list[1:]:
-        acc = elimination_intersection(acc, gens, max_pairs=max_pairs)
+        acc = elimination_intersection(acc, gens)
     return acc

@@ -36,6 +36,7 @@ from robustci import (
     robustness_report,
     sample_structure_params,
 )
+from robustci import graph as graphmod
 from robustci.decomp import admissible_sets, verify_primary_decomposition, verify_union_decomposition
 from robustci.gibbs import (
     gibbs_kernel,
@@ -476,7 +477,7 @@ def test_criterion_9b_product_form_equivalence():
     )
 
 
-def test_criterion_9c_binary_connectivity():
+def test_criterion_9c_binary_connectivity(monkeypatch):
     """Binary connectivity bound for s <= min(n - 2k, n - 1), all k including 0.
 
     Every block of a maximal k-robustness structure is connected in the
@@ -512,10 +513,11 @@ def test_criterion_9c_binary_connectivity():
         }
         for k in range(0, n + 1):
             graph = build_graph(make_uniform_spec(k, space), space)
-            structures = enumerate_maximal_structures(graph, cap=16)
+            structures = enumerate_maximal_structures(graph)
             check(n, k, structures, graphs_s)
 
     n = 5
+    monkeypatch.setattr(graphmod, "ENUMERATION_CAP", 2 ** n)
     space = StateSpace(2, (2,) * n)
     graphs_s = {
         s: build_graph(make_uniform_spec(s, space), space) for s in range(1, n + 1)
@@ -533,7 +535,7 @@ def test_criterion_9c_binary_connectivity():
             continue  # min(n - 2k, n - 1) < 1: the s-range is empty
         # every maximal structure, where 2^32 subsets rule out brute force; the
         # sampled structures are an independent spot check of completeness
-        enumerated = enumerate_maximal_structures(graph, cap=32)
+        enumerated = enumerate_maximal_structures(graph)
         check(n, k, enumerated, graphs_s)
         for structure in enumerated:
             if not maximality_by_edges(structure, graph):

@@ -133,6 +133,19 @@ class TestIsRobust:
         minor = report["failing_statement"]["witness_minor"]
         assert minor["lhs"] != minor["rhs"]
 
+    @pytest.mark.parametrize("nodes, y, message", [
+        ((0,), (1,), "not within"),
+        ((3,), (1,), "not within"),
+        ((1,), (5,), "out of range"),
+    ], ids=["node-0", "node-3", "letter-5"])
+    @pytest.mark.parametrize("verdict", [is_robust, robustness_report], ids=["is_robust", "report"])
+    def test_pair_outside_the_space_rejected(self, verdict, nodes, y, message):
+        # unchecked, node 0 reads the last coordinate, node 3 raises IndexError
+        # and letter 5 pins only zero columns, which are proportional
+        dist = JointDistribution.uniform(StateSpace(2, (2, 2)))
+        with pytest.raises(InputError, match=message):
+            verdict(dist, RobustnessSpec.of([(nodes, y)]))
+
     def test_matches_edge_proportionality_oracle(self):
         rng = random.Random(2027)
         spaces = [StateSpace(2, (2, 2)), StateSpace(3, (3,)), StateSpace(2, (2, 2, 2))]

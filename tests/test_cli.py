@@ -110,14 +110,14 @@ class TestStructuresCommand:
         assert sum(1 for s in obj["structures"] if s["maximal"]) == 1
 
     def test_all_mode_obeys_cap_vertices(self, tmp_path, capsys):
-        space = StateSpace(2, (2, 2))
-        model_path = write_json(tmp_path / "m.json", model_to_json(space, uniform_k=1))
         out = tmp_path / "structures.json"
-        argv = ["structures", "--model", model_path, "--all", "--out", str(out)]
-        assert main(argv + ["--cap-vertices", "2"]) == 3
-        assert "all-structures cap of 2" in capsys.readouterr().err
+        argv = ["structures", "--all", "--out", str(out), "--model"]
+        big = write_json(tmp_path / "big.json", model_to_json(StateSpace(2, (13,)), uniform_k=1))
+        assert main(argv + [big]) == 3
+        assert "13 vertices exceed the all-structures cap of 12" in capsys.readouterr().err
         assert not out.exists()
-        assert main(argv + ["--cap-vertices", "4"]) == 0
+        small = write_json(tmp_path / "small.json", model_to_json(StateSpace(2, (2, 2)), uniform_k=1))
+        assert main(argv + [small]) == 0
         assert json.loads(out.read_text())["count"] == 16
 
 
@@ -223,29 +223,46 @@ class TestLoaderFaults:
 
 
 class TestCapsBeforeGraph:
-    """A 2,000-configuration model: the vertex caps fire before the 2M-edge clique is built."""
+    """The vertex caps and the d0 check fire before the configuration graph is built."""
 
-    @pytest.fixture
-    def big_model(self, tmp_path, monkeypatch):
+    @pytest.fixture(autouse=True)
+    def no_graph(self, monkeypatch):
         def no_graph(*args, **kwargs):
             raise AssertionError("graph built before the vertex cap")
 
         monkeypatch.setattr("robustci.graph.build_graph", no_graph)
+
+    @pytest.fixture
+    def big_model(self, tmp_path):
+        # 2,000 configurations: the k=0 graph is a 2M-edge clique
         return write_json(tmp_path / "m.json", {"d0": 2, "d": [40, 50], "spec": {"uniform_k": 0}})
 
     @pytest.mark.parametrize("command, extra, message", [
-        ("structures", [], "2000 vertices exceed the enumeration cap of 20 (2^2000 subsets)"),
+        ("structures", [], "2000 vertices exceed the enumeration cap of 20"),
         ("structures", ["--all"], "2000 vertices exceed the all-structures cap of 12"),
         ("groebner", [], "2000 vertices exceed the basis enumeration cap of 12"),
-        ("decompose", [], "2000 vertices exceed the enumeration cap of 20 (2^2000 subsets)"),
+        ("decompose", [], "2000 vertices exceed the verification cap of 12"),
     ], ids=["structures", "structures-all", "groebner", "decompose"])
     def test_cap_exits_3(self, big_model, capsys, command, extra, message):
         assert main([command, "--model", big_model] + extra) == 3
         assert capsys.readouterr().err == f"resource limit: {message}\n"
 
+    def test_decompose_union_cap_comes_before_the_primary_leg(self, tmp_path, capsys):
+        # 16 configurations pass the enumeration cap of 20 but not the union cap of 12
+        model_path = write_json(tmp_path / "m.json", {"d0": 2, "d": [2, 2, 2, 2], "spec": {"uniform_k": 3}})
+        assert main(["decompose", "--model", model_path]) == 3
+        assert capsys.readouterr().err == "resource limit: 16 vertices exceed the verification cap of 12\n"
+
     def test_groebner_d0_fault_comes_first(self, big_model, capsys):
         assert main(["groebner", "--model", big_model, "--d0", "1"]) == 2
         assert capsys.readouterr().err == "error: need at least two output letters, got 1\n"
+
+    @pytest.mark.parametrize("d0", ["0", "1"])
+    def test_decompose_rejects_d0_below_two(self, tmp_path, capsys, d0):
+        # an edgeless two-configuration model; d0 = 0 once sampled directions forever
+        model_path = write_json(tmp_path / "m.json", {"d0": 2, "d": [2], "spec": {"uniform_k": 1}})
+        assert main(["decompose", "--model", model_path, "--d0", d0]) == 2
+        assert capsys.readouterr().err == f"error: need at least two output letters, got {d0}\n"
 
 
 class TestGroebnerCommand:
@@ -286,11 +303,10 @@ class TestGroebnerCommand:
         ]) == 0
         assert "p[2;2]*p[1;1] - p[2;1]*p[1;2]" in out.read_text()
 
-    def test_cap_exit_code(self, tmp_path):
-        model_path, _ = cube_model(tmp_path)
-        assert main([
-            "groebner", "--model", model_path, "--cap-vertices", "4",
-        ]) == 3
+    def test_cap_exit_code(self, tmp_path, capsys):
+        model_path = write_json(tmp_path / "m.json", model_to_json(StateSpace(2, (13,)), uniform_k=1))
+        assert main(["groebner", "--model", model_path]) == 3
+        assert "13 vertices exceed the basis enumeration cap of 12" in capsys.readouterr().err
 
     def test_verification_failure_exit_code(self, tmp_path):
         # the literal antitone range yields a correct but non-reduced basis
@@ -369,21 +385,6 @@ class TestDecomposeCommand:
         out = tmp_path / "report.json"
         assert main(["decompose", "--model", model_path, "--trials", "-1", "--out", str(out)]) == 2
         assert "--trials" in capsys.readouterr().err
-        assert not out.exists()
-
-
-class TestNegativeCaps:
-    @pytest.mark.parametrize("command, flag", [
-        ("structures", "--cap-vertices"),
-        ("groebner", "--cap-vertices"),
-        ("groebner", "--cap-spairs"),
-        ("decompose", "--cap-spairs"),
-    ])
-    def test_negative_cap_exits_2(self, tmp_path, capsys, command, flag):
-        model_path, _ = cube_model(tmp_path)
-        out = tmp_path / "out.json"
-        assert main([command, "--model", model_path, flag, "-1", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {flag} must be >= 0, got -1\n"
         assert not out.exists()
 
 

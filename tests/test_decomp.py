@@ -23,7 +23,7 @@ from robustci import (
     verify_primary_decomposition,
     verify_union_decomposition,
 )
-from robustci import decomp
+from robustci import graph as graphmod
 from robustci.decomp import admissible_sets, sample_point_in_VGY
 from robustci.graph import InputGraph
 
@@ -116,7 +116,7 @@ class TestAdmissibility:
             (((1,),), ((2,),)),
             (((1,), (2,), (3,)),),
         ]
-        monkeypatch.setattr(decomp, "ADMISSIBLE_CAP", 4)
+        monkeypatch.setattr(graphmod, "ENUMERATION_CAP", 4)
         with pytest.raises(ResourceLimitError):
             admissible_sets(cube_graph())
 

@@ -23,6 +23,7 @@ from robustci import (
     maximality_by_edges,
     restrict,
 )
+from robustci import graph as graphmod
 from robustci.graph import (
     _mask_components,
     _structure,
@@ -331,11 +332,10 @@ class TestEnumeration:
         assert structures == sorted(structures, key=lambda s: s.blocks)
         assert len(structures) == len(set(structures))
 
-    def test_cap(self):
-        space = StateSpace(2, (2, 2, 2))
-        g = cube_graph()
-        with pytest.raises(ResourceLimitError):
-            enumerate_maximal_structures(g, cap=7)
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(graphmod, "ENUMERATION_CAP", 7)
+        with pytest.raises(ResourceLimitError, match="8 vertices exceed the enumeration cap of 7$"):
+            enumerate_maximal_structures(cube_graph())
 
     @pytest.mark.parametrize("d", UNIFORM_SHAPES)
     def test_uniform_specs_against_subset_scan(self, d):
@@ -359,12 +359,13 @@ class TestEnumeration:
         assert len(structures) == 1351
         assert structures == subset_scan_structures(g)
 
-    def test_large_edgeless_space_runs_without_recursion(self):
+    def test_large_edgeless_space_runs_without_recursion(self, monkeypatch):
         space = StateSpace(2, (10, 110))
+        monkeypatch.setattr(graphmod, "ENUMERATION_CAP", space.num_configs())
         g = build_graph(RobustnessSpec.of([((1, 2), y) for y in space.configs()]), space)
         assert g.num_edges() == 0
         start = time.perf_counter()
-        structures = enumerate_maximal_structures(g, cap=space.num_configs())
+        structures = enumerate_maximal_structures(g)
         elapsed = time.perf_counter() - start
         assert structures == [components_of(g, g.vertices)]
         assert structures[0].num_blocks() == 1100

@@ -181,8 +181,8 @@ class TestGroebnerSet:
     def test_vertex_cap(self):
         space = StateSpace(2, (2, 2, 2, 2))
         g = build_graph(make_uniform_spec(1, space), space)
-        with pytest.raises(ResourceLimitError):
-            groebner_set(g, 2, cap_vertices=8)
+        with pytest.raises(ResourceLimitError, match="16 vertices exceed the basis enumeration cap of 12$"):
+            groebner_set(g, 2)
 
     def test_edge_generators_reduce_to_zero(self):
         from robustci.polyengine import reduce as poly_reduce

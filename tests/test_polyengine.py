@@ -170,11 +170,12 @@ class TestBuchberger:
         basis = buchberger(gens)
         assert set(basis) == set(gens)
 
-    def test_pair_cap(self):
+    def test_pair_cap(self, monkeypatch):
+        monkeypatch.setattr(polyengine, "MAX_PAIRS", 1)
         g = three_vertex_graph()
         gens = [b.polynomial() for b in edge_generators(g, 2)]
-        with pytest.raises(ResourceLimitError):
-            buchberger(gens, max_pairs=1)
+        with pytest.raises(ResourceLimitError, match="S-pair cap 1 exceeded"):
+            buchberger(gens)
 
     def test_trace_remainders_are_binomials(self, monkeypatch):
         # every nonzero remainder of the run, S-pairs and interreduction alike
