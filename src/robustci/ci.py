@@ -8,6 +8,7 @@ the joint table, so everything here is exact rational arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,44 +16,27 @@ from fractions import Fraction
 from .errors import InputError
 from .graph import InputGraph, RobustnessStructure, _require_consistent, components_of
 from .model import (
-    Config,
     JointDistribution,
     RobustnessSpec,
     StateSpace,
     blocks_proportional,
+    first_nonvanishing_minor,
     format_fraction,
-    validate_spec,
+    pinned_blocks,
 )
 
-
-def _full_config(n: int, nodes_a, part_a, nodes_b, part_b) -> Config:
-    out = [0] * n
-    for i, v in zip(nodes_a, part_a):
-        out[i - 1] = v
-    for i, v in zip(nodes_b, part_b):
-        out[i - 1] = v
-    return tuple(out)
+# Denominator of the raw weights that sample_structure_params draws.
+PARAM_DENOMINATOR = 97
 
 
-def _first_failing_minor(dist: JointDistribution, nodes, y):
-    """The first nonvanishing 2x2 minor among the columns pinned to y on the sorted
-    node subset, as (x, x', i, j, lhs, rhs) with 0-based letters i < j, or None."""
-    space = dist.space
-    rest = [i for i in range(1, space.n + 1) if i not in nodes]
-    configs = [
-        _full_config(space.n, nodes, y, rest, xs)
-        for xs in space.partial_configs(rest)
-    ]
-    columns = [dist.column(x) for x in configs]
-    for a in range(len(columns)):
-        for b in range(a + 1, len(columns)):
-            u, v = columns[a], columns[b]
-            for i in range(space.d0):
-                for j in range(i + 1, space.d0):
-                    lhs = u[i] * v[j]
-                    rhs = u[j] * v[i]
-                    if lhs != rhs:
-                        return configs[a], configs[b], i, j, lhs, rhs
+def _first_failing_minor(dist: JointDistribution, block):
+    """The first nonvanishing 2x2 minor among the columns of a pinned block, as
+    (x, x', i, j, lhs, rhs) with 0-based letters i < j, or None."""
+    columns = [dist.column(x) for x in block]
+    for a, b in itertools.combinations(range(len(block)), 2):
+        minor = first_nonvanishing_minor(columns[a], columns[b])
+        if minor is not None:
+            return (block[a], block[b], *minor)
     return None
 
 
@@ -74,11 +58,11 @@ def is_robust(dist: JointDistribution, spec: RobustnessSpec) -> bool:
 
 
 def robustness_report(dist: JointDistribution, spec: RobustnessSpec) -> dict:
-    """Robustness verdict plus, on failure, the first failing statement and minor.
+    """Robustness verdict plus, on failure, the first failing statement and minor,
+    by sorted pair (R, y) on its pinned block, then column pair, then letter pair.
     Raises InputError unless every pair fits the distribution's space."""
-    validate_spec(spec, dist.space)
-    for nodes, y in spec.sorted_pairs():
-        failing = _first_failing_minor(dist, nodes, y)
+    for (nodes, y), block in pinned_blocks(spec, dist.space):
+        failing = _first_failing_minor(dist, block)
         if failing is not None:
             x, x_prime, i, j, lhs, rhs = failing
             return {
@@ -221,12 +205,12 @@ def image_bound(spec: RobustnessSpec, space: StateSpace) -> int:
     return best
 
 
-def sample_structure_params(structure: RobustnessStructure, seed, denominator: int = 97) -> StructureParams:
-    """Seeded positive rational weights k/denominator, normalized per vector."""
+def sample_structure_params(structure: RobustnessStructure, seed) -> StructureParams:
+    """Seeded positive rational weights k/PARAM_DENOMINATOR, normalized per vector."""
     rng = random.Random(seed)
 
     def vector(length):
-        raw = [Fraction(rng.randint(1, denominator), denominator) for _ in range(length)]
+        raw = [Fraction(rng.randint(1, PARAM_DENOMINATOR), PARAM_DENOMINATOR) for _ in range(length)]
         total = sum(raw)
         return tuple(w / total for w in raw)
 

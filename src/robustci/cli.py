@@ -104,13 +104,14 @@ def cmd_structures(args) -> int:
             ),
             key=lambda s: s.blocks,
         )
+        maximal = set(graphmod.enumerate_maximal_structures(g))
     else:
         structures = graphmod.enumerate_maximal_structures(g)
     items = []
     for s in structures:
         item = graphmod.structure_to_json(s)
         if args.all:
-            item["maximal"] = graphmod.is_maximal(s, g)
+            item["maximal"] = s in maximal
         if args.classify_complements and space.d == (2, 2, 2):
             item["complement_class"] = graphmod.cube_complement_category(s)
         items.append(item)

@@ -210,18 +210,18 @@ def modalities_from_potentials(pots: GibbsPotentials) -> FunctionalModalities:
     return FunctionalModalities(pots.space, kernels)
 
 
-def check_robust_at(mods: FunctionalModalities, x: Config, knocked_out, tol: float = ROBUST_TOL) -> bool:
+def check_robust_at(mods: FunctionalModalities, x: Config, knocked_out) -> bool:
     """Whether the full kernel at x equals the post-knockout kernel on the rest.
 
     ``knocked_out`` is the removed subset S; the comparison is entrywise
-    within ``tol`` over all output letters.
+    within ``ROBUST_TOL`` over all output letters.
     """
     space = mods.space
     knocked_out = tuple(sorted(set(knocked_out)))
     remaining = tuple(i for i in range(1, space.n + 1) if i not in knocked_out)
     full = mods.row(tuple(range(1, space.n + 1)), x)
     post = mods.row(remaining, restrict(x, remaining))
-    return all(abs(a - b) <= tol for a, b in zip(full, post))
+    return all(abs(a - b) <= ROBUST_TOL for a, b in zip(full, post))
 
 
 def robustness_table(mods: FunctionalModalities) -> list:
@@ -251,7 +251,7 @@ def check_table_size(d) -> None:
         raise ResourceLimitError(f"robustness table of {size} entries exceeds the cap of {TABLE_CAP}")
 
 
-def potential_robustness_criterion(pots: GibbsPotentials, x: Config, knocked_out, tol: float = ROBUST_TOL) -> bool:
+def potential_robustness_criterion(pots: GibbsPotentials, x: Config, knocked_out) -> bool:
     """Robustness read off the potentials: the sum of all potential terms that
     touch the knocked-out set must not depend on the output letter."""
     space = pots.space
@@ -264,15 +264,15 @@ def potential_robustness_criterion(pots: GibbsPotentials, x: Config, knocked_out
         for x0 in range(space.d0):
             acc[x0] += vals[x0]
     mean = sum(acc) / space.d0
-    return all(abs(v - mean) <= tol for v in acc)
+    return all(abs(v - mean) <= ROBUST_TOL for v in acc)
 
 
-def is_uniformly_robust_at(mods: FunctionalModalities, x: Config, k: int, tol: float = ROBUST_TOL) -> bool:
+def is_uniformly_robust_at(mods: FunctionalModalities, x: Config, k: int) -> bool:
     """Robust at x against every knockout leaving at least k inputs."""
     n = mods.space.n
     for size in range(1, n - k + 1):
         for knocked_out in itertools.combinations(range(1, n + 1), size):
-            if not check_robust_at(mods, x, knocked_out, tol):
+            if not check_robust_at(mods, x, knocked_out):
                 return False
     return True
 
@@ -364,7 +364,7 @@ def _weighted_sum_coefficient(size: int, k: int) -> Fraction:
     return total
 
 
-def tilde_constraint_report(dec: KInteractionDecomposition, tol: float = ROBUST_TOL) -> dict:
+def tilde_constraint_report(dec: KInteractionDecomposition) -> dict:
     """Check the two symmetry families on the interaction terms, separately.
 
     Family one: for shared subsets B with |B| < k, the sign-weighted terms
@@ -405,7 +405,7 @@ def tilde_constraint_report(dec: KInteractionDecomposition, tol: float = ROBUST_
                     else:
                         ca, cb = weights[len(lb)], weights[len(la)]
                     count = failures[key] = sum(
-                        any(abs(ca * p - cb * q) > tol for p, q in zip(rows_a[xc], rows_b[xc]))
+                        any(abs(ca * p - cb * q) > ROBUST_TOL for p, q in zip(rows_a[xc], rows_b[xc]))
                         for xc in configs
                     )
                 family.extend(
@@ -419,9 +419,9 @@ def tilde_constraint_report(dec: KInteractionDecomposition, tol: float = ROBUST_
     }
 
 
-def check_tilde_constraints(dec: KInteractionDecomposition, tol: float = ROBUST_TOL) -> bool:
+def check_tilde_constraints(dec: KInteractionDecomposition) -> bool:
     """True iff both constraint families hold; see :func:`tilde_constraint_report`."""
-    report = tilde_constraint_report(dec, tol)
+    report = tilde_constraint_report(dec)
     return report["low_order_ok"] and report["order_k_ok"]
 
 

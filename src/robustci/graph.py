@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError
-from .model import Config, RobustnessSpec, StateSpace, validate_spec
+from .model import Config, RobustnessSpec, StateSpace, pinned_blocks
 
 # Most vertices enumerate_maximal_structures accepts.
 ENUMERATION_CAP = 20
@@ -89,23 +89,16 @@ class InputGraph:
 def build_graph(spec: RobustnessSpec, space: StateSpace) -> InputGraph:
     """The graph induced by a robustness specification, with edge witnesses.
 
-    Pairs sharing a node subset R are consecutive in sorted order, so the m
-    configurations are bucketed by their restriction to one R at a time and
-    each pair (R, y) adds the clique on its bucket, in O(|distinct R|*m + sum
-    of |clique|^2).  An edge's witness is the first pair in sorted order that
+    Each pair (R, y) adds the clique on its pinned block
+    (:func:`robustci.model.pinned_blocks`), in O(|distinct R|*m + sum of
+    |clique|^2).  An edge's witness is the first pair in sorted order that
     pins both endpoints, i.e. the pair that first adds it.
     """
-    validate_spec(spec, space)
-    configs = space.configs()
     witnesses = {}
-    for nodes, group in itertools.groupby(spec.sorted_pairs(), key=lambda p: p[0]):
-        buckets = {}
-        for x in configs:
-            buckets.setdefault(tuple(x[i - 1] for i in nodes), []).append(x)
-        for _, pinned in group:
-            # buckets keep the canonical order, so each edge comes as (min, max)
-            for edge in itertools.combinations(buckets[pinned], 2):
-                witnesses.setdefault(edge, (nodes, pinned))
+    for pair, block in pinned_blocks(spec, space):
+        # blocks keep the canonical order, so each edge comes as (min, max)
+        for edge in itertools.combinations(block, 2):
+            witnesses.setdefault(edge, pair)
     return InputGraph(space, sorted(witnesses), witnesses)
 
 

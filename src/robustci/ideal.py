@@ -64,8 +64,7 @@ class EdgeBinomial(NamedTuple):
 
 def edge_generators(graph: InputGraph, d0: int) -> list:
     """One canonical minor per (edge, row pair); count is |edges| * C(d0, 2)."""
-    if d0 < 2:
-        raise InputError(f"need at least two output letters, got {d0}")
+    check_output_letters(d0)
     out = []
     for x, y in graph.edge_list():
         for i in range(1, d0 + 1):
@@ -75,15 +74,12 @@ def edge_generators(graph: InputGraph, d0: int) -> list:
     return out
 
 
-def _shortcut(graph: InputGraph, path):
-    """Positions of the shortest ordered proper interior subsequence of ``path``
-    that, with the endpoints, is itself a path; None if there is none."""
-    last = len(path) - 1
-    for size in range(last - 1):
-        for keep in itertools.combinations(range(1, last), size):
-            seq = (0, *keep, last)
-            if all(graph.has_edge(path[seq[a]], path[seq[a + 1]]) for a in range(len(seq) - 1)):
-                return seq
+def _first_chord(graph: InputGraph, path):
+    """Positions a < b - 1 of the first chord of ``path``; None if it has none."""
+    for a in range(len(path) - 2):
+        for b in range(a + 2, len(path)):
+            if graph.has_edge(path[a], path[b]):
+                return a, b
     return None
 
 
@@ -236,8 +232,10 @@ def find_reduction_witness(graph: InputGraph, path, labels):
     the labeling is antitone along the walk (endpoints included).  Otherwise
     the returned element's initial monomial divides the endpoint-inclusive
     monomial ``path_monomial(path, labels, include_endpoints=True)``; it is
-    found by shrinking a minimal order-violating window to an admissible path
-    and swapping the endpoint labels.
+    found by splicing a minimal order-violating window at chords until it is an
+    admissible path, and swapping the endpoint labels.  The minimal window has
+    no other violating pair, so its interior stays outside [x, y] and its
+    labels stay antitone.
     """
     path = tuple(tuple(v) for v in path)
     labels = tuple(labels)
@@ -273,10 +271,10 @@ def find_reduction_witness(graph: InputGraph, path, labels):
         window.reverse()
         wlabels.reverse()
 
-    # shrink through interior shortcuts until no proper subsequence is a path
-    while (shortcut := _shortcut(graph, window)) is not None:
-        window = [window[k] for k in shortcut]
-        wlabels = [wlabels[k] for k in shortcut]
+    # splice at chords until the path is chordless, i.e. admissible
+    while (chord := _first_chord(graph, window)) is not None:
+        a, b = chord
+        del window[a + 1:b], wlabels[a + 1:b]
 
     swapped = [wlabels[-1], *wlabels[1:-1], wlabels[0]]
     return GroebnerElement(

@@ -148,6 +148,23 @@ def validate_spec(spec: RobustnessSpec, space: StateSpace) -> None:
                 raise InputError(f"letter {v} out of range for node {i}")
 
 
+def pinned_blocks(spec: RobustnessSpec, space: StateSpace):
+    """Each pair (R, y) of the specification in sorted order, with its pinned
+    block: the configurations x with x|_R = y, in canonical order.
+
+    Raises InputError unless every pair fits the space.  Sorted pairs sharing R
+    are consecutive, so the m configurations are bucketed once per distinct R.
+    """
+    validate_spec(spec, space)
+    configs = space.configs()
+    for nodes, group in itertools.groupby(spec.sorted_pairs(), key=lambda p: p[0]):
+        buckets = {}
+        for x in configs:
+            buckets.setdefault(tuple(x[i - 1] for i in nodes), []).append(x)
+        for pair in group:
+            yield pair, buckets[pair[1]]
+
+
 def make_uniform_spec(k: int, space: StateSpace) -> RobustnessSpec:
     """All pairs (R, y) with |R| >= k and y running over every configuration on R."""
     if not 0 <= k <= space.n:
@@ -223,17 +240,23 @@ def validate_distribution(dist: JointDistribution, space: StateSpace):
     return None
 
 
+def first_nonvanishing_minor(u, v):
+    """The first nonvanishing 2x2 minor of two rational vectors, as
+    (i, j, u[i]*v[j], u[j]*v[i]) with 0-based letters i < j, or None."""
+    for i, j in itertools.combinations(range(len(u)), 2):
+        lhs, rhs = u[i] * v[j], u[j] * v[i]
+        if lhs != rhs:
+            return i, j, lhs, rhs
+    return None
+
+
 def vectors_proportional(u, v) -> bool:
     """Whether two rational vectors are proportional (all 2x2 minors vanish).
 
     This is the symmetric notion u = c*v or v = c*u; the zero vector is
     proportional to everything, which is why proportionality is not transitive.
     """
-    return all(
-        u[a] * v[b] == u[b] * v[a]
-        for a in range(len(u))
-        for b in range(a + 1, len(u))
-    )
+    return first_nonvanishing_minor(u, v) is None
 
 
 def blocks_proportional(column, blocks) -> bool:

@@ -25,7 +25,7 @@ from robustci import (
     robustness_report,
     sample_structure_params,
 )
-from robustci.model import vectors_proportional
+from robustci.model import format_fraction, validate_spec, vectors_proportional
 
 
 def product_table(space, out_dist, in_dist):
@@ -177,6 +177,91 @@ class TestIsRobust:
                 for u, v in graph.edge_list()
             )
             assert is_robust(dist, spec) == edge_ok
+
+
+def _oracle_full_config(n, nodes_a, part_a, nodes_b, part_b):
+    out = [0] * n
+    for i, v in zip(nodes_a, part_a):
+        out[i - 1] = v
+    for i, v in zip(nodes_b, part_b):
+        out[i - 1] = v
+    return tuple(out)
+
+
+def _oracle_robustness_report(dist, spec):
+    """The report built pair by pair: each pinned block assembled from the
+    configurations on the complement, with its own loop over letter pairs."""
+    space = dist.space
+    validate_spec(spec, space)
+    for nodes, y in spec.sorted_pairs():
+        rest = [i for i in range(1, space.n + 1) if i not in nodes]
+        configs = [
+            _oracle_full_config(space.n, nodes, y, rest, xs)
+            for xs in space.partial_configs(rest)
+        ]
+        for a in range(len(configs)):
+            for b in range(a + 1, len(configs)):
+                u, v = dist.column(configs[a]), dist.column(configs[b])
+                for i in range(space.d0):
+                    for j in range(i + 1, space.d0):
+                        lhs, rhs = u[i] * v[j], u[j] * v[i]
+                        if lhs != rhs:
+                            return {
+                                "robust": False,
+                                "failing_statement": {
+                                    "R": list(nodes),
+                                    "y": list(y),
+                                    "witness_minor": {
+                                        "x": list(configs[a]),
+                                        "x_prime": list(configs[b]),
+                                        "x0": i + 1,
+                                        "x0_prime": j + 1,
+                                        "lhs": format_fraction(lhs),
+                                        "rhs": format_fraction(rhs),
+                                    },
+                                },
+                            }
+    return {"robust": True, "failing_statement": None}
+
+
+def _random_pair_spec(rng, space):
+    pairs = []
+    for _ in range(rng.randint(1, 8)):
+        nodes = tuple(i for i in range(1, space.n + 1) if rng.random() < 0.5)
+        pairs.append((nodes, tuple(rng.randint(1, space.d[i - 1]) for i in nodes)))
+    return RobustnessSpec.of(pairs)
+
+
+class TestReportOracle:
+    SPACES = [
+        StateSpace(2, (2, 2)), StateSpace(3, (3,)), StateSpace(2, (2, 3)),
+        StateSpace(3, (2, 2, 2)), StateSpace(2, (3, 1, 4)), StateSpace(4, (4, 4)),
+        StateSpace(2, (2, 2, 2, 2, 2, 2)), StateSpace(3, (4, 4, 4)), StateSpace(2, (2, 4, 8)),
+    ]
+
+    def test_report_matches_pair_by_pair_oracle(self):
+        rng = random.Random(4051)
+        verdicts = []
+        for trial in range(90):
+            space = self.SPACES[trial % len(self.SPACES)]
+            if trial % 2:
+                spec = _random_pair_spec(rng, space)
+            else:
+                # |R| >= n - 3 keeps the binary n=6 specs to a few hundred pairs
+                spec = make_uniform_spec(rng.randint(max(0, space.n - 3), space.n), space)
+            graph = build_graph(spec, space)
+            structure = components_of(graph, [x for x in space.configs() if rng.random() < 0.8])
+            if structure.is_empty():
+                continue
+            dist = build_from_structure(structure, sample_structure_params(structure, seed=trial))
+            table = dict(dist.table)
+            table[(rng.randint(1, space.d0), rng.choice(space.configs()))] += Fraction(1, 5)
+            for candidate in (dist, JointDistribution(space, table)):
+                report = robustness_report(candidate, spec)
+                assert report == _oracle_robustness_report(candidate, spec)
+                verdicts.append(report["robust"])
+        assert all(verdicts[::2])
+        assert sum(not robust for robust in verdicts[1::2]) > 45
 
 
 class TestClassifyStructure:

@@ -1,9 +1,13 @@
+import itertools
 import json
+import math
+import random
 
 import pytest
 
 from robustci import (
     JointDistribution,
+    RobustnessSpec,
     RobustnessStructure,
     StateSpace,
     StructureParams,
@@ -11,10 +15,12 @@ from robustci import (
     build_graph,
     check_product_form,
     components_of,
+    is_maximal,
     make_uniform_spec,
 )
-from robustci import decomp
+from robustci import cli, decomp
 from robustci.cli import main
+from robustci.graph import structure_from_json
 from robustci.model import distribution_to_json, model_to_json
 from fractions import Fraction
 
@@ -108,6 +114,38 @@ class TestStructuresCommand:
         obj = json.loads(out.read_text())
         assert obj["count"] == 4  # every subset of a two-element space
         assert sum(1 for s in obj["structures"] if s["maximal"]) == 1
+
+    @staticmethod
+    def _small_uniform_specs():
+        """One space of 2..12 configurations per shape up to node order, at every k."""
+        for n in (1, 2, 3):
+            for d in itertools.combinations_with_replacement(range(2, 13), n):
+                if math.prod(d) <= 12:
+                    space = StateSpace(2, d)
+                    for k in range(n + 1):
+                        yield space, make_uniform_spec(k, space)
+
+    @staticmethod
+    def _seeded_pair_specs():
+        rng = random.Random(1213)
+        for _ in range(20):
+            space = StateSpace(2, rng.choice([(2, 2), (2, 3), (2, 2, 2), (3, 3), (2, 4)]))
+            pairs = []
+            for _ in range(rng.randint(1, 6)):
+                nodes = tuple(i for i in range(1, space.n + 1) if rng.random() < 0.5)
+                pairs.append((nodes, tuple(rng.randint(1, space.d[i - 1]) for i in nodes)))
+            yield space, RobustnessSpec.of(pairs)
+
+    def test_all_mode_maximality_matches_the_oracle(self, tmp_path, monkeypatch):
+        payloads = []
+        monkeypatch.setattr(cli, "_emit", lambda payload, args: payloads.append(payload))
+        model_path = tmp_path / "m.json"
+        for space, spec in [*self._small_uniform_specs(), *self._seeded_pair_specs()]:
+            write_json(model_path, model_to_json(space, spec))
+            assert main(["structures", "--model", str(model_path), "--all"]) == 0
+            g = build_graph(spec, space)
+            for item in payloads.pop()["structures"]:
+                assert item["maximal"] == is_maximal(structure_from_json(item, space), g)
 
     def test_all_mode_obeys_cap_vertices(self, tmp_path, capsys):
         out = tmp_path / "structures.json"

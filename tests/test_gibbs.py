@@ -337,9 +337,9 @@ class TestPositiveMixture:
             (1,): {(1,): (1.0, 0.0), (2,): (0.0, 1.0)},
         }
         mods = FunctionalModalities(space, kernels)
-        assert check_robust_at(mods, (1,), (1,), tol=0.0)
+        assert mods.row((1,), (1,)) == mods.row((), ())
         mixed = positive_mixture(mods, 0.5)
-        assert check_robust_at(mixed, (1,), (1,), tol=0.0)
+        assert mixed.row((1,), (1,)) == mixed.row((), ())
         assert mixed.is_strictly_positive()
 
     def test_eps_range(self):

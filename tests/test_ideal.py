@@ -278,6 +278,87 @@ class TestReductionWitness:
             }
 
 
+def _oracle_shortcut(graph, path):
+    """Positions of the shortest ordered proper interior subsequence of ``path``
+    that, with the endpoints, is itself a path; None if there is none."""
+    last = len(path) - 1
+    for size in range(last - 1):
+        for keep in itertools.combinations(range(1, last), size):
+            seq = (0, *keep, last)
+            if all(graph.has_edge(path[seq[a]], path[seq[a + 1]]) for a in range(len(seq) - 1)):
+                return seq
+    return None
+
+
+def _oracle_reduction_witness(graph, path, labels):
+    """The witness found by shrinking the minimal violating window through its
+    shortest path subsequences instead of splicing at chords."""
+    path = tuple(tuple(x) for x in path)
+    bad = [
+        (s, t)
+        for s in range(len(path))
+        for t in range(s + 1, len(path))
+        if (path[s] < path[t] and labels[s] < labels[t])
+        or (path[t] < path[s] and labels[t] < labels[s])
+    ]
+    if not bad:
+        return None
+    s, t = min(bad, key=lambda pair: (pair[1] - pair[0], pair[0]))
+    window, wlabels = list(path[s:t + 1]), list(labels[s:t + 1])
+    changed = True
+    while changed:
+        changed = False
+        seen = {}
+        for k, x in enumerate(window):
+            if x in seen:
+                k0 = seen[x]
+                if k == len(window) - 1:
+                    wlabels[k0] = wlabels[k]
+                del window[k0 + 1:k + 1], wlabels[k0 + 1:k + 1]
+                changed = True
+                break
+            seen[x] = k
+    if window[0] > window[-1]:
+        window.reverse()
+        wlabels.reverse()
+    while (shortcut := _oracle_shortcut(graph, window)) is not None:
+        window = [window[k] for k in shortcut]
+        wlabels = [wlabels[k] for k in shortcut]
+    swapped = [wlabels[-1], *wlabels[1:-1], wlabels[0]]
+    return element_polynomial(window, swapped)
+
+
+class TestReductionWitnessOracle:
+    def test_chord_splice_and_shortest_shrink_both_reduce(self):
+        rng = random.Random(4099)
+        checked = 0
+        for _ in range(50):
+            m = rng.randint(2, 7)
+            density = rng.random()
+            g = line_graph(m, [e for e in itertools.combinations(range(1, m + 1), 2) if rng.random() < density])
+            d0 = rng.randint(2, 4)
+            basis = {e.polynomial for e in groebner_set(g, d0)}
+            for _ in range(80):
+                walk = [rng.choice(g.vertices)]
+                for _ in range(rng.randint(1, 6)):
+                    nbrs = g.neighbors(walk[-1])
+                    if not nbrs:
+                        break
+                    walk.append(rng.choice(nbrs))
+                labels = tuple(rng.randint(1, d0) for _ in walk)
+                witness = find_reduction_witness(g, walk, labels)
+                oracle = _oracle_reduction_witness(g, walk, labels)
+                assert (witness is None) == (oracle is None)
+                if oracle is None:
+                    continue
+                full = path_monomial(walk, labels, include_endpoints=True)
+                for poly in (witness.polynomial, oracle):
+                    assert poly.leading_monomial().divides(full)
+                    assert poly in basis
+                checked += 1
+        assert checked > 1500
+
+
 class TestFormatting:
     def test_text_format_stable(self):
         basis = groebner_set(THREE_VERTEX, 2)
