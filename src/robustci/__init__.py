@@ -76,7 +76,6 @@ from .polyengine import (
     s_polynomial,
 )
 from .decomp import (
-    ComponentIdeal,
     MatrixPoint,
     component_ideal,
     containment,

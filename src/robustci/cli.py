@@ -43,15 +43,17 @@ def _emit(payload, args) -> None:
         text = _to_text(payload) + "\n"
     if args.out:
         directory = os.path.dirname(os.path.abspath(args.out))
-        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".robustci-")
+        tmp_path = None
         try:
+            fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".robustci-")
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
             os.replace(tmp_path, args.out)
-        except BaseException:
-            if os.path.exists(tmp_path):
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
+        finally:
+            if tmp_path is not None and os.path.exists(tmp_path):
                 os.unlink(tmp_path)
-            raise
     else:
         sys.stdout.write(text)
 
@@ -184,7 +186,7 @@ def cmd_decompose(args) -> int:
         raise InputError(f"--trials must be >= 0, got {args.trials}")
     space, spec = _load_model(args.model)
     d0 = args.d0 if args.d0 is not None else space.d0
-    decomp.check_union_size(space.num_configs(), d0)
+    decomp.check_union_size(space.num_configs(), d0, args.trials)
     g = graphmod.build_graph(spec, space)
     admissible = decomp.admissible_sets(g)
     report = decomp.verify_primary_decomposition(g, admissible, d0)

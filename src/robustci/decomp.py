@@ -6,13 +6,15 @@ induced subgraph on Y all 2x2 minors vanish.  Admissibility is the same
 predicate as maximality of the robustness structure on Y.  Both verifiers take
 the maximal structures from one enumeration and check the decomposition at
 three levels: pairwise non-containment of the components, ideal membership of
-the edge generators in every component, and (on tiny instances) exact equality
-of the elimination-computed intersection with the reduced Groebner basis of
-the edge ideal.
+the edge generators in every component (by reduction against the component
+generators, which are already its reduced Groebner basis), and (on tiny
+instances) exact equality of the elimination-computed intersection with the
+reduced Groebner basis of the edge ideal.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,45 +25,30 @@ from .ideal import EdgeBinomial, Unknown, check_output_letters, edge_generators
 from .model import blocks_proportional, format_fraction, vectors_proportional
 from .polyengine import Polynomial, buchberger, intersect_ideals, reduce
 
-# Vertex caps of the union check and leg (c).
+# Vertex caps of the union check and leg (c); trial cap of the union check.
 UNION_CAP = 12
 INTERSECTION_MAX_VERTICES = 3
+TRIALS_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class ComponentIdeal:
-    """Generators of the prime component attached to a support set Y."""
+def component_ideal(structure: RobustnessStructure, d0: int) -> list:
+    """Generators of the prime component attached to the support Y.
 
-    support: frozenset
-    monomial_generators: tuple
-    binomial_generators: tuple
-
-    def generators(self) -> list:
-        return list(self.monomial_generators) + list(self.binomial_generators)
-
-
-def component_ideal(structure: RobustnessStructure, d0: int) -> ComponentIdeal:
-    """Vanishing unknowns off the support plus all minors within each block."""
+    The vanishing unknowns of the columns off Y come first, then all 2x2
+    minors within each block.
+    """
     support = structure.support
     configs = structure.space.configs()
     if not support <= set(configs):
         raise InputError("support is not a subset of the configuration set")
-    monomials = []
-    for x in configs:
-        if x in support:
-            continue
-        for i in range(1, d0 + 1):
-            monomials.append(Polynomial.variable(Unknown(i, x)))
-    binomials = []
-    for block in structure.blocks:
-        for a in range(len(block)):
-            for b in range(a + 1, len(block)):
-                for i in range(1, d0 + 1):
-                    for j in range(i + 1, d0 + 1):
-                        binomials.append(
-                            EdgeBinomial.make(i, j, block[a], block[b]).polynomial()
-                        )
-    return ComponentIdeal(support, tuple(monomials), tuple(binomials))
+    rows = range(1, d0 + 1)
+    unknowns = [Polynomial.variable(Unknown(i, x)) for x in configs if x not in support for i in rows]
+    return unknowns + [
+        EdgeBinomial.make(i, j, x, y).polynomial()
+        for block in structure.blocks
+        for x, y in itertools.combinations(block, 2)
+        for i, j in itertools.combinations(rows, 2)
+    ]
 
 
 def admissible_sets(graph: InputGraph) -> list:
@@ -143,11 +130,13 @@ def random_matrix_point(graph: InputGraph, d0: int, rng: random.Random) -> Matri
     return MatrixPoint(d0, columns)
 
 
-def check_union_size(num_vertices: int, d0: int) -> None:
-    """Raise the first fault of a union check: d0 < 2, then too many vertices."""
+def check_union_size(num_vertices: int, d0: int, trials: int) -> None:
+    """Raise the first fault of a union check: d0 < 2, too many vertices, too many trials."""
     check_output_letters(d0)
     if num_vertices > UNION_CAP:
         raise ResourceLimitError(f"{num_vertices} vertices exceed the verification cap of {UNION_CAP}")
+    if trials > TRIALS_CAP:
+        raise ResourceLimitError(f"{trials} trials exceed the trial cap of {TRIALS_CAP}")
 
 
 def verify_union_decomposition(graph: InputGraph, admissible, d0: int, trials: int, seed) -> dict:
@@ -159,7 +148,7 @@ def verify_union_decomposition(graph: InputGraph, admissible, d0: int, trials: i
     component, and that variety points lie in the component of their own
     support.  The report lists counterexamples; an empty list means pass.
     """
-    check_union_size(len(graph.vertices), d0)
+    check_union_size(len(graph.vertices), d0, trials)
     counterexamples = []
     for t in range(trials):
         rng = random.Random(f"{seed}:{t}")
@@ -204,14 +193,21 @@ def verify_primary_decomposition(graph: InputGraph, admissible, d0: int) -> dict
     """Three-legged verification of the decomposition indexed by ``admissible``.
 
     (a) admissible components are pairwise non-containing;
-    (b) every edge generator lies in every admissible component ideal;
+    (b) every edge generator reduces to zero modulo the generators of every
+        admissible component;
     (c) on instances with at most INTERSECTION_MAX_VERTICES vertices and
         d0 = 2, the elimination-computed intersection of the component ideals
         equals the reduced Groebner basis of the edge ideal ("skipped"
         otherwise).
 
-    Every Groebner computation stops with ResourceLimitError after
-    polyengine.MAX_PAIRS S-pairs or beyond polyengine.MAX_TERMS terms.
+    Leg (b) runs no Buchberger: blocks and off-support unknowns use disjoint
+    variables, and the 2x2 minors of a generic matrix are a reduced Groebner
+    basis for every diagonal order (Sturmfels, Math. Z. 205, 1990; these are
+    the primes P_S of Herzog-Hibi-Hreinsdottir-Kahle-Rauh, Adv. Appl. Math.
+    45, 2010).  Reducing to zero modulo *any* generating set proves membership,
+    so ``true`` stays a proof even were that claim false; a false claim could
+    only give a spurious ``false`` (exit 4).  polyengine.MAX_PAIRS and
+    polyengine.MAX_TERMS (ResourceLimitError) bound only leg (c).
     """
     counterexamples = []
 
@@ -229,9 +225,9 @@ def verify_primary_decomposition(graph: InputGraph, admissible, d0: int) -> dict
     edge_gens = [g.polynomial() for g in edge_generators(graph, d0)] if graph.num_edges() else []
     membership = True
     for y in admissible:
-        gb = buchberger(component_ideal(y, d0).generators())
+        gens = component_ideal(y, d0)
         for f in edge_gens:
-            if reduce(f, gb):
+            if reduce(f, gens):
                 membership = False
                 counterexamples.append({
                     "leg": "membership",
@@ -240,8 +236,9 @@ def verify_primary_decomposition(graph: InputGraph, admissible, d0: int) -> dict
                 break
 
     if len(graph.vertices) <= INTERSECTION_MAX_VERTICES and d0 == 2:
-        component_gens = [component_ideal(y, d0).generators() for y in admissible]
-        intersection = intersect_ideals(component_gens)
+        # built again: leg (b) holds one component's generators at a time,
+        # which keeps the peak memory of large instances down
+        intersection = intersect_ideals([component_ideal(y, d0) for y in admissible])
         target = buchberger(edge_gens)
         intersection_equality = set(intersection) == set(target)
         if intersection_equality is False:

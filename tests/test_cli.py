@@ -74,6 +74,21 @@ class TestGraphCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestOutWriteFailures:
+    """A failed --out write is an input error, and leaves no temporary file."""
+
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/x.json", "No such file or directory"),
+        ("", "Is a directory"),
+    ], ids=["missing-directory", "existing-directory"])
+    def test_exits_2(self, tmp_path, capsys, target, reason):
+        model_path, _ = cube_model(tmp_path)
+        out = str(tmp_path / target)
+        assert main(["graph", "--model", model_path, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
 class TestStructuresCommand:
     def test_k0_single_structure(self, tmp_path):
         model_path, _ = cube_model(tmp_path, k=0)
@@ -291,6 +306,13 @@ class TestCapsBeforeGraph:
         assert main(["decompose", "--model", model_path]) == 3
         assert capsys.readouterr().err == "resource limit: 16 vertices exceed the verification cap of 12\n"
 
+    def test_decompose_trials_cap(self, tmp_path, capsys):
+        model_path = write_json(tmp_path / "m.json", {"d0": 3, "d": [2, 2, 3], "spec": {"uniform_k": 1}})
+        assert main(["decompose", "--model", model_path, "--trials", str(10**23)]) == 3
+        assert capsys.readouterr().err == (
+            f"resource limit: {10**23} trials exceed the trial cap of {decomp.TRIALS_CAP}\n"
+        )
+
     def test_groebner_d0_fault_comes_first(self, big_model, capsys):
         assert main(["groebner", "--model", big_model, "--d0", "1"]) == 2
         assert capsys.readouterr().err == "error: need at least two output letters, got 1\n"
@@ -417,6 +439,20 @@ class TestDecomposeCommand:
         assert main(["decompose", "--model", model_path, "--trials", "5", "--out", str(out)]) == 0
         assert len(calls) == 1
         assert len(json.loads(out.read_text())["admissible_Y"]) == len(enumerate_structures(calls[0]))
+
+    def test_large_clique_block_at_d0_4(self, tmp_path):
+        # one 12-column block with 396 minors, too many for a Buchberger run
+        # within polyengine.MAX_PAIRS; the membership leg runs none
+        model_path = write_json(tmp_path / "m.json", {"d0": 4, "d": [12], "spec": {"uniform_k": 0}})
+        out = tmp_path / "report.json"
+        assert main(["decompose", "--model", model_path, "--trials", "5", "--out", str(out)]) == 0
+        obj = json.loads(out.read_text())
+        assert obj["legs"] == {
+            "intersection_equality": "skipped",
+            "membership": True,
+            "non_containment": True,
+        }
+        assert obj["counterexamples"] == []
 
     def test_negative_trials_exit_2(self, tmp_path, capsys):
         model_path, _ = cube_model(tmp_path)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,9 +24,10 @@ from robustci import (
     verify_primary_decomposition,
     verify_union_decomposition,
 )
-from robustci import graph as graphmod
+from robustci import decomp, graph as graphmod
 from robustci.decomp import admissible_sets, sample_point_in_VGY
 from robustci.graph import InputGraph
+from robustci.polyengine import buchberger, buchberger_criterion
 
 
 def line_graph(m, edges):
@@ -59,32 +61,113 @@ def frac_matrix(d0, cols):
     return MatrixPoint(d0, {x: tuple(Fraction(v) for v in col) for x, col in cols.items()})
 
 
+def degree_counts(gens):
+    """Generator count per degree: unknowns have degree 1, minors degree 2."""
+    return Counter(g.leading_monomial().degree for g in gens)
+
+
 class TestComponentIdeal:
     def test_full_support_connected(self):
-        ideal = component_ideal(components_of(THREE_VERTEX, THREE_VERTEX.vertices), 2)
-        assert not ideal.monomial_generators
+        gens = component_ideal(components_of(THREE_VERTEX, THREE_VERTEX.vertices), 2)
         # one connected component of three vertices: all three pairwise minors
-        assert len(ideal.binomial_generators) == 3
+        assert degree_counts(gens) == {2: 3}
 
     def test_empty_support_all_monomials(self):
-        ideal = component_ideal(components_of(THREE_VERTEX, ()), 2)
-        assert len(ideal.monomial_generators) == 6
-        assert not ideal.binomial_generators
+        gens = component_ideal(components_of(THREE_VERTEX, ()), 2)
+        assert degree_counts(gens) == {1: 6}
 
     def test_cube_minus_parity_class(self):
         g = cube_graph()
         even = [x for x in g.vertices if sum(x) % 2 == 0]
         support = [x for x in g.vertices if x not in even]
-        ideal = component_ideal(components_of(g, support), 2)
+        gens = component_ideal(components_of(g, support), 2)
         # four removed vertices, two unknowns each; remaining parity class is
         # edgeless, so its components are singletons and there are no minors
-        assert len(ideal.monomial_generators) == 8
-        assert not ideal.binomial_generators
+        assert degree_counts(gens) == {1: 8}
+
+    def test_unknowns_come_before_minors(self):
+        # vertex 2 off the support, the edge 1-3 one block: at d0 = 3, three
+        # unknowns and the three minors of a two-column block
+        gens = component_ideal(components_of(THREE_VERTEX, [(1,), (3,)]), 3)
+        assert [g.leading_monomial().degree for g in gens] == [1, 1, 1, 2, 2, 2]
 
     def test_configuration_outside_the_space(self):
         stray = RobustnessStructure.from_blocks(THREE_VERTEX.space, [[(1,)], [(4,)]])
         with pytest.raises(InputError):
             component_ideal(stray, 2)
+
+
+# The shapes the benchmark's algebra workload deals to decompose jobs, by d0.
+WORKLOAD_DECOMPOSE_SHAPES = {
+    2: ((3,), (1, 3), (3, 1), (1, 1, 3), (1, 3, 1),
+        (2, 2), (4,), (5,), (2, 3), (3, 2), (6,), (2, 2, 2), (2, 4), (7,), (8,),
+        (3, 3), (2, 5), (10,), (3, 4), (2, 6), (2, 2, 3), (11,), (12,)),
+    3: ((2, 2), (4,), (2, 3), (3, 2), (5,), (6,)),
+}
+
+
+def random_graph(rng, max_vertices):
+    m = rng.randint(2, max_vertices)
+    pairs = itertools.combinations(range(1, m + 1), 2)
+    return line_graph(m, [p for p in pairs if rng.random() < 0.4])
+
+
+def component_shape(structure, d0):
+    """d0, the number of columns off the support, and the sorted block sizes.
+
+    Components of one shape differ by a renaming of the columns that keeps
+    the column order within each block.  Under the pure-lex order that
+    renaming maps Groebner bases to Groebner bases, because distinct blocks
+    and the off-support unknowns use disjoint variables.
+    """
+    off = len(structure.space.configs()) - len(structure.support)
+    return d0, off, tuple(sorted(len(block) for block in structure.blocks))
+
+
+class TestComponentGeneratorsAreReducedBases:
+    """Generic Buchberger is the oracle of the claim that leg (b) relies on."""
+
+    def test_buchberger_returns_the_generators(self):
+        cases = [
+            (build_graph(make_uniform_spec(k, space), space), d0)
+            for d0, shapes in WORKLOAD_DECOMPOSE_SHAPES.items()
+            for space in (StateSpace(d0, d) for d in shapes)
+            for k in range(space.n + 1)
+        ]
+        # Beyond these sizes one Buchberger run takes seconds: a 6-column
+        # block has 90 minors at d0 = 4.
+        for d0, max_vertices in ((2, 8), (3, 6), (4, 5)):
+            rng = random.Random(d0)
+            cases += [(random_graph(rng, max_vertices), d0) for _ in range(20)]
+        checked = set()
+        structures = 0
+        for g, d0 in cases:
+            for y in admissible_sets(g):
+                structures += 1
+                shape = component_shape(y, d0)
+                if shape in checked:
+                    continue
+                checked.add(shape)
+                gens = component_ideal(y, d0)
+                assert set(buchberger(gens)) == {f.monic() for f in gens}, shape
+                assert buchberger_criterion(gens), shape
+        assert (structures, len(checked)) == (604, 126)
+
+    @pytest.mark.parametrize("graph, d0", [
+        (cube_graph(), 2),
+        (THREE_VERTEX, 3),
+    ], ids=["cube-d2", "three-vertex-d3"])
+    def test_membership_leg_runs_no_buchberger(self, monkeypatch, graph, d0):
+        def no_buchberger(gens):
+            raise AssertionError("buchberger called with leg (c) skipped")
+
+        monkeypatch.setattr(decomp, "buchberger", no_buchberger)
+        report = verify_primary_decomposition(graph, admissible_sets(graph), d0)
+        assert report["legs"] == {
+            "non_containment": True,
+            "membership": True,
+            "intersection_equality": "skipped",
+        }
 
 
 class TestAdmissibility:
@@ -261,6 +344,13 @@ class TestUnionDecomposition:
     def test_three_vertex(self):
         report = verify_union_decomposition(THREE_VERTEX, admissible_sets(THREE_VERTEX), 2, trials=100, seed=0)
         assert report["ok"]
+
+    def test_trials_cap(self, monkeypatch):
+        monkeypatch.setattr(decomp, "TRIALS_CAP", 3)
+        admissible = admissible_sets(SINGLE_EDGE)
+        assert verify_union_decomposition(SINGLE_EDGE, admissible, 2, trials=3, seed=0)["ok"]
+        with pytest.raises(ResourceLimitError, match="4 trials exceed the trial cap of 3"):
+            verify_union_decomposition(SINGLE_EDGE, admissible, 2, trials=4, seed=0)
 
     def test_cap(self):
         space = StateSpace(2, (2, 2, 2, 2))
