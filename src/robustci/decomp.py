@@ -6,10 +6,10 @@ induced subgraph on Y all 2x2 minors vanish.  Admissibility is the same
 predicate as maximality of the robustness structure on Y.  Both verifiers take
 the maximal structures from one enumeration and check the decomposition at
 three levels: pairwise non-containment of the components, ideal membership of
-the edge generators in every component (by reduction against the component
-generators, which are already its reduced Groebner basis), and (on tiny
-instances) exact equality of the elimination-computed intersection with the
-reduced Groebner basis of the edge ideal.
+the edge generators in every component (read off the blocks, so only the
+last level builds polynomials), and (on tiny instances) exact equality of the
+elimination-computed intersection with the reduced Groebner basis of the edge
+ideal.  The variety-cover check samples integer matrices.
 """
 
 from __future__ import annotations
@@ -17,18 +17,18 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError, ResourceLimitError
 from .graph import InputGraph, RobustnessStructure, components_of, enumerate_maximal_structures
 from .ideal import EdgeBinomial, Unknown, check_output_letters, edge_generators
 from .model import blocks_proportional, format_fraction, vectors_proportional
-from .polyengine import Polynomial, buchberger, intersect_ideals, reduce
+from .polyengine import Polynomial, buchberger, intersect_ideals
 
-# Vertex caps of the union check and leg (c); trial cap of the union check.
+# Vertex caps of the union check and leg (c); trial and d0 caps of the union check.
 UNION_CAP = 12
 INTERSECTION_MAX_VERTICES = 3
 TRIALS_CAP = 10_000
+D0_CAP = 20
 
 
 def component_ideal(structure: RobustnessStructure, d0: int) -> list:
@@ -76,13 +76,13 @@ def containment(outer: RobustnessStructure, inner: RobustnessStructure) -> bool:
 
 @dataclass(frozen=True)
 class MatrixPoint:
-    """A d0 x |configs| rational matrix, stored column-wise."""
+    """A d0 x |configs| matrix of ints or Fractions, stored column-wise."""
 
     d0: int
     columns: dict
 
     def column(self, x) -> tuple:
-        return self.columns.get(x, tuple(Fraction(0) for _ in range(self.d0)))
+        return self.columns.get(x, (0,) * self.d0)
 
     def support(self) -> frozenset:
         return frozenset(x for x, col in self.columns.items() if any(col))
@@ -115,24 +115,26 @@ def sample_point_in_VGY(structure: RobustnessStructure, d0: int, rng: random.Ran
     for block in structure.blocks:
         direction = None
         while direction is None or not any(direction):
-            direction = tuple(Fraction(rng.randint(-3, 3)) for _ in range(d0))
+            direction = tuple(rng.randint(-3, 3) for _ in range(d0))
         for x in block:
-            scalar = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5))
+            scalar = rng.choice([-1, 1]) * rng.randint(1, 5)
             columns[x] = tuple(scalar * v for v in direction)
     return MatrixPoint(d0, columns)
 
 
 def random_matrix_point(graph: InputGraph, d0: int, rng: random.Random) -> MatrixPoint:
     columns = {
-        x: tuple(Fraction(rng.randint(-3, 3)) for _ in range(d0))
+        x: tuple(rng.randint(-3, 3) for _ in range(d0))
         for x in graph.vertices
     }
     return MatrixPoint(d0, columns)
 
 
 def check_union_size(num_vertices: int, d0: int, trials: int) -> None:
-    """Raise the first fault of a union check: d0 < 2, too many vertices, too many trials."""
+    """Raise the first fault of a union check: d0 < 2, then d0, vertices or trials over their caps."""
     check_output_letters(d0)
+    if d0 > D0_CAP:
+        raise ResourceLimitError(f"{d0} output letters exceed the output-letter cap of {D0_CAP}")
     if num_vertices > UNION_CAP:
         raise ResourceLimitError(f"{num_vertices} vertices exceed the verification cap of {UNION_CAP}")
     if trials > TRIALS_CAP:
@@ -193,22 +195,24 @@ def verify_primary_decomposition(graph: InputGraph, admissible, d0: int) -> dict
     """Three-legged verification of the decomposition indexed by ``admissible``.
 
     (a) admissible components are pairwise non-containing;
-    (b) every edge generator reduces to zero modulo the generators of every
-        admissible component;
+    (b) every edge generator lies in every admissible component;
     (c) on instances with at most INTERSECTION_MAX_VERTICES vertices and
         d0 = 2, the elimination-computed intersection of the component ideals
         equals the reduced Groebner basis of the edge ideal ("skipped"
         otherwise).
 
-    Leg (b) runs no Buchberger: blocks and off-support unknowns use disjoint
-    variables, and the 2x2 minors of a generic matrix are a reduced Groebner
-    basis for every diagonal order (Sturmfels, Math. Z. 205, 1990; these are
-    the primes P_S of Herzog-Hibi-Hreinsdottir-Kahle-Rauh, Adv. Appl. Math.
-    45, 2010).  Reducing to zero modulo *any* generating set proves membership,
-    so ``true`` stays a proof even were that claim false; a false claim could
-    only give a spurious ``false`` (exit 4).  polyengine.MAX_PAIRS and
-    polyengine.MAX_TERMS (ResourceLimitError) bound only leg (c).
+    Leg (b) builds no polynomial.  An edge minor on columns u, v lies in P_Y
+    iff (1) u or v is off Y: each term holds an off-support unknown, a
+    generator; or (2) u and v share a block: the minor is a generator.  (3) In
+    different blocks, no term is divisible by a leading monomial of P_Y's
+    generators, its reduced Groebner basis (Sturmfels, Math. Z. 205, 1990; the
+    primes P_S of Herzog-Hibi-Hreinsdottir-Kahle-Rauh, Adv. Appl. Math. 45,
+    2010), so the minor is its own nonzero normal form.  Structures from
+    ``admissible_sets`` are the components of the graph on their support, so
+    no edge joins two of their blocks: the leg guards lists that library
+    callers pass in.  polyengine.MAX_PAIRS and MAX_TERMS bound only leg (c).
     """
+    check_output_letters(d0)
     counterexamples = []
 
     non_containment = True
@@ -222,22 +226,20 @@ def verify_primary_decomposition(graph: InputGraph, admissible, d0: int) -> dict
                     "inner": [list(x) for x in sorted(b.support)],
                 })
 
-    edge_gens = [g.polynomial() for g in edge_generators(graph, d0)] if graph.num_edges() else []
     membership = True
     for y in admissible:
-        gens = component_ideal(y, d0)
-        for f in edge_gens:
-            if reduce(f, gens):
-                membership = False
-                counterexamples.append({
-                    "leg": "membership",
-                    "support": [list(x) for x in sorted(y.support)],
-                })
-                break
+        if not y.support <= set(y.space.configs()):
+            raise InputError("support is not a subset of the configuration set")
+        index = y.block_index()
+        if any(u in index and v in index and index[u] != index[v] for u, v in graph.edge_list()):
+            membership = False
+            counterexamples.append({
+                "leg": "membership",
+                "support": [list(x) for x in sorted(y.support)],
+            })
 
     if len(graph.vertices) <= INTERSECTION_MAX_VERTICES and d0 == 2:
-        # built again: leg (b) holds one component's generators at a time,
-        # which keeps the peak memory of large instances down
+        edge_gens = [g.polynomial() for g in edge_generators(graph, d0)]
         intersection = intersect_ideals([component_ideal(y, d0) for y in admissible])
         target = buchberger(edge_gens)
         intersection_equality = set(intersection) == set(target)

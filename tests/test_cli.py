@@ -313,6 +313,14 @@ class TestCapsBeforeGraph:
             f"resource limit: {10**23} trials exceed the trial cap of {decomp.TRIALS_CAP}\n"
         )
 
+    def test_decompose_d0_cap(self, big_model, capsys):
+        # the d0 cap fires before the vertex cap of the 2,000-configuration model
+        d0 = decomp.D0_CAP + 1
+        assert main(["decompose", "--model", big_model, "--d0", str(d0)]) == 3
+        assert capsys.readouterr().err == (
+            f"resource limit: {d0} output letters exceed the output-letter cap of {decomp.D0_CAP}\n"
+        )
+
     def test_groebner_d0_fault_comes_first(self, big_model, capsys):
         assert main(["groebner", "--model", big_model, "--d0", "1"]) == 2
         assert capsys.readouterr().err == "error: need at least two output letters, got 1\n"

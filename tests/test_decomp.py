@@ -16,6 +16,7 @@ from robustci import (
     component_ideal,
     components_of,
     containment,
+    edge_generators,
     is_maximal,
     is_robust,
     make_uniform_spec,
@@ -25,9 +26,9 @@ from robustci import (
     verify_union_decomposition,
 )
 from robustci import decomp, graph as graphmod
-from robustci.decomp import admissible_sets, sample_point_in_VGY
+from robustci.decomp import admissible_sets, random_matrix_point, sample_point_in_VGY
 from robustci.graph import InputGraph
-from robustci.polyengine import buchberger, buchberger_criterion
+from robustci.polyengine import buchberger, buchberger_criterion, reduce
 
 
 def line_graph(m, edges):
@@ -95,6 +96,9 @@ class TestComponentIdeal:
         stray = RobustnessStructure.from_blocks(THREE_VERTEX.space, [[(1,)], [(4,)]])
         with pytest.raises(InputError):
             component_ideal(stray, 2)
+        # d0 = 3 skips leg (c), so the membership leg itself rejects it
+        with pytest.raises(InputError, match="support is not a subset"):
+            verify_primary_decomposition(THREE_VERTEX, [stray], 3)
 
 
 # The shapes the benchmark's algebra workload deals to decompose jobs, by d0.
@@ -158,16 +162,65 @@ class TestComponentGeneratorsAreReducedBases:
         (THREE_VERTEX, 3),
     ], ids=["cube-d2", "three-vertex-d3"])
     def test_membership_leg_runs_no_buchberger(self, monkeypatch, graph, d0):
-        def no_buchberger(gens):
-            raise AssertionError("buchberger called with leg (c) skipped")
+        def no_polynomials(*args):
+            raise AssertionError("polynomials built with leg (c) skipped")
 
-        monkeypatch.setattr(decomp, "buchberger", no_buchberger)
+        for name in ("buchberger", "component_ideal", "edge_generators"):
+            monkeypatch.setattr(decomp, name, no_polynomials)
         report = verify_primary_decomposition(graph, admissible_sets(graph), d0)
         assert report["legs"] == {
             "non_containment": True,
             "membership": True,
             "intersection_equality": "skipped",
         }
+
+
+def membership_by_reduction(graph, structure, d0):
+    """Leg (b) as a reduction: every edge generator reduces to zero modulo the
+    component generators.  Reducing to zero modulo any generating set proves
+    membership, and the generators are the reduced basis, so a nonzero
+    remainder refutes it."""
+    gens = component_ideal(structure, d0)
+    return all(not reduce(g.polynomial(), gens) for g in edge_generators(graph, d0))
+
+
+def random_partition(rng, graph):
+    """A random partition of a random support, blind to the edges."""
+    support = [v for v in graph.vertices if rng.random() < 0.7]
+    rng.shuffle(support)
+    blocks = {}
+    for x in support:
+        blocks.setdefault(rng.randrange(3), []).append(x)
+    return RobustnessStructure.from_blocks(graph.space, list(blocks.values()))
+
+
+class TestMembershipByBlocks:
+    """The block lemma of leg (b) against reduction by the component generators."""
+
+    def test_matches_reduction(self):
+        verdicts = Counter()
+        for d0, max_vertices in ((2, 7), (3, 6), (4, 5)):
+            rng = random.Random(100 + d0)
+            for _ in range(30):
+                g = random_graph(rng, max_vertices)
+                structures = admissible_sets(g) + [random_partition(rng, g) for _ in range(4)]
+                expected = [
+                    {"leg": "membership", "support": [list(x) for x in sorted(y.support)]}
+                    for y in structures
+                    if not membership_by_reduction(g, y, d0)
+                ]
+                report = verify_primary_decomposition(g, structures, d0)
+                got = [c for c in report["counterexamples"] if c["leg"] == "membership"]
+                assert got == expected
+                assert report["legs"]["membership"] is (not expected)
+                verdicts["fail"] += len(expected)
+                verdicts["pass"] += len(structures) - len(expected)
+        assert verdicts["fail"] and verdicts["pass"]
+
+    def test_d0_below_two_on_an_edgeless_graph(self):
+        edgeless = line_graph(2, [])
+        with pytest.raises(InputError, match="need at least two output letters, got 1"):
+            verify_primary_decomposition(edgeless, admissible_sets(edgeless), 1)
 
 
 class TestAdmissibility:
@@ -352,11 +405,80 @@ class TestUnionDecomposition:
         with pytest.raises(ResourceLimitError, match="4 trials exceed the trial cap of 3"):
             verify_union_decomposition(SINGLE_EDGE, admissible, 2, trials=4, seed=0)
 
+    def test_d0_cap(self, monkeypatch):
+        monkeypatch.setattr(decomp, "D0_CAP", 3)
+        admissible = admissible_sets(SINGLE_EDGE)
+        assert verify_union_decomposition(SINGLE_EDGE, admissible, 3, trials=5, seed=0)["ok"]
+        with pytest.raises(ResourceLimitError, match="4 output letters exceed the output-letter cap of 3"):
+            verify_union_decomposition(SINGLE_EDGE, admissible, 4, trials=5, seed=0)
+
     def test_cap(self):
         space = StateSpace(2, (2, 2, 2, 2))
         g = build_graph(make_uniform_spec(2, space), space)
         with pytest.raises(ResourceLimitError):
             verify_union_decomposition(g, admissible_sets(g), 2, trials=1, seed=0)
+
+
+def fraction_point_in_VGY(structure, d0, rng):
+    """The sampler on Fractions: the same draws as ``sample_point_in_VGY``."""
+    columns = {}
+    for block in structure.blocks:
+        direction = None
+        while direction is None or not any(direction):
+            direction = tuple(Fraction(rng.randint(-3, 3)) for _ in range(d0))
+        for x in block:
+            scalar = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5))
+            columns[x] = tuple(scalar * v for v in direction)
+    return MatrixPoint(d0, columns)
+
+
+def fraction_matrix_point(graph, d0, rng):
+    """The random matrix on Fractions: the same draws as ``random_matrix_point``."""
+    return MatrixPoint(d0, {x: tuple(Fraction(rng.randint(-3, 3)) for _ in range(d0)) for x in graph.vertices})
+
+
+class TestUnionOnIntegers:
+    """The variety-cover check on int points against the same points as Fractions."""
+
+    def fraction_report(self, monkeypatch, graph, admissible, d0, trials, seed):
+        with monkeypatch.context() as m:
+            m.setattr(decomp, "sample_point_in_VGY", fraction_point_in_VGY)
+            m.setattr(decomp, "random_matrix_point", fraction_matrix_point)
+            return verify_union_decomposition(graph, admissible, d0, trials=trials, seed=seed)
+
+    def test_reports_match(self, monkeypatch):
+        rng = random.Random(7)
+        cases = [(THREE_VERTEX, admissible_sets(THREE_VERTEX)[:-1], 2)]  # counterexamples
+        for d0, max_vertices in ((2, 7), (3, 6), (4, 5)):
+            for _ in range(10):
+                g = random_graph(rng, max_vertices)
+                cases.append((g, admissible_sets(g), d0))
+        failing = 0
+        for seed, (g, admissible, d0) in enumerate(cases):
+            report = verify_union_decomposition(g, admissible, d0, trials=100, seed=seed)
+            assert report == self.fraction_report(monkeypatch, g, admissible, d0, 100, seed)
+            failing += not report["ok"]
+        assert failing == 1
+
+    def test_points_match(self):
+        rng = random.Random(8)
+        for d0 in (2, 3, 4):
+            g = random_graph(rng, 7)
+            for seed in range(20):
+                support = [v for v in g.vertices if rng.random() < 0.6]
+                y = components_of(g, support)
+                point = sample_point_in_VGY(y, d0, random.Random(seed))
+                assert point == fraction_point_in_VGY(y, d0, random.Random(seed))
+                point = random_matrix_point(g, d0, random.Random(seed))
+                assert point == fraction_matrix_point(g, d0, random.Random(seed))
+
+    def test_fraction_columns_still_work(self):
+        # Fraction entries beside a missing column, which reads as int zeros
+        point = MatrixPoint(3, {(1,): (Fraction(1, 2), Fraction(0), Fraction(-1)), (3,): (1, 0, -2)})
+        assert point.column((2,)) == (0, 0, 0)
+        assert point_in_VG(point, THREE_VERTEX)
+        assert point_in_VGY(point, components_of(THREE_VERTEX, [(1,), (3,)]))
+        assert not point_in_VGY(point, components_of(THREE_VERTEX, [(1,), (2,)]))
 
 
 class TestPrimaryDecomposition:
